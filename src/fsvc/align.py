@@ -4,15 +4,24 @@ Three ways to compare frame sequences: collapse time by averaging, match
 frames explicitly with dynamic time warping over 1 - cosine distances, or
 pool with learned multi-head saliency attention.  All functions are pure and
 operate on (T, C) float arrays.
+
+The kernels run once or more per episode on small arrays (8 x 8 distance
+matrices, 8 x 16 embeddings), where numpy's fixed per-call cost outweighs the
+arithmetic.  So ``dtw`` accumulates and backtracks over Python floats from
+``tolist()``, and the norms are written as the dot products and reductions
+that ``np.linalg.norm`` itself computes.  Every result is bitwise equal to
+the plain numpy form, which ``tests/scalar_oracle.py`` keeps as the
+reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DegenerateInputError, ValidationError
+from .core import DegenerateInputError, ShapeError, ValidationError
 
 _NORM_TOL = 1e-300  # anything representable and nonzero passes
 
@@ -26,22 +35,32 @@ def mean_pool(seq: np.ndarray) -> np.ndarray:
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity in [-1, 1]; zero-norm inputs are an error."""
+    """Cosine similarity in [-1, 1] of two equal-length 1-D vectors.
+
+    Zero-norm inputs are an error.
+    """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ShapeError(
+            f"cosine needs two 1-D vectors of equal length, got shapes "
+            f"{a.shape} and {b.shape}"
+        )
+    # the 2-norm exactly as np.linalg.norm computes it for a 1-D float64 vector
+    na = math.sqrt(a.dot(a))
+    nb = math.sqrt(b.dot(b))
     if na <= _NORM_TOL or nb <= _NORM_TOL:
         raise DegenerateInputError("cosine of a zero-norm vector is undefined")
-    return float(np.dot(a, b) / (na * nb))
+    return float(a.dot(b) / (na * nb))
 
 
 def _normalized_rows(seq: np.ndarray, name: str) -> np.ndarray:
-    norms = np.linalg.norm(seq, axis=1)
-    bad = np.flatnonzero(norms <= _NORM_TOL)
-    if bad.size:
+    # np.linalg.norm(seq, axis=1), without its Python-level dispatch
+    norms = np.sqrt(np.add.reduce(seq * seq, axis=1))
+    bad = norms <= _NORM_TOL
+    if bad.any():
         raise DegenerateInputError(
-            f"{name} frame {int(bad[0])} has zero norm"
+            f"{name} frame {int(bad.argmax())} has zero norm"
         )
     return seq / norms[:, None]
 
@@ -72,16 +91,27 @@ def dtw(dist: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:
         raise ValidationError(f"distance matrix must be 2-D, got shape {d.shape}")
     tq, ts = d.shape
-    acc = np.empty_like(d)
-    acc[0, 0] = d[0, 0]
+    # Python floats add and compare exactly as float64 scalars do, at a
+    # fraction of the cost of indexing numpy cell by cell.  The inlined
+    # minimum keeps min(up, left, up_left)'s order: first smallest wins.
+    acc = d.tolist()
+    row = acc[0]
+    left = row[0]
     for j in range(1, ts):
-        acc[0, j] = d[0, j] + acc[0, j - 1]
+        left = row[j] = row[j] + left
     for i in range(1, tq):
-        acc[i, 0] = d[i, 0] + acc[i - 1, 0]
+        prev = row
         row = acc[i]
-        prev = acc[i - 1]
+        up_left = prev[0]
+        left = row[0] = row[0] + up_left
         for j in range(1, ts):
-            row[j] = d[i, j] + min(prev[j], row[j - 1], prev[j - 1])
+            m = up = prev[j]
+            if left < m:
+                m = left
+            if up_left < m:
+                m = up_left
+            left = row[j] = row[j] + m
+            up_left = up
 
     i, j = tq - 1, ts - 1
     path = [(i, j)]
@@ -91,7 +121,8 @@ def dtw(dist: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
         elif j == 0:
             i -= 1
         else:
-            diag, vert, horz = acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]
+            above = acc[i - 1]
+            diag, vert, horz = above[j - 1], above[j], acc[i][j - 1]
             if diag <= vert and diag <= horz:
                 i, j = i - 1, j - 1
             elif vert <= horz:
@@ -100,7 +131,7 @@ def dtw(dist: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
                 j -= 1
         path.append((i, j))
     path.reverse()
-    return float(acc[tq - 1, ts - 1]), path
+    return acc[tq - 1][ts - 1], path
 
 
 def dtw_bruteforce(dist: np.ndarray, max_cells: int = 36) -> float:

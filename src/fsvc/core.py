@@ -192,11 +192,13 @@ def read_feature_file(
             f"{path}: expected {expected} payload bytes for T={t}, "
             f"C_in={c_in}, got {len(payload)}"
         )
+    # FeatureSequence makes the one float64 copy; converting here as well
+    # would allocate a second array per video.
     frames = np.frombuffer(payload, dtype="<f4").reshape(t, c_in)
     return FeatureSequence(
         video_id=video_id if video_id is not None else path.stem,
         class_id=class_id,
-        frames=frames.astype(np.float64),
+        frames=frames,
     )
 
 

@@ -197,6 +197,8 @@ def accuracy_vector(
     threads: int | None = None,
 ) -> np.ndarray:
     """Per-episode 0/1 accuracies, independent of worker scheduling."""
+    if n_episodes < 1:
+        raise ValidationError(f"need at least 1 episode, got {n_episodes}")
     _check_capacity(data, cfg.n_way, cfg.k_shot)
     correct = np.zeros(n_episodes, dtype=np.float64)
 

@@ -39,6 +39,7 @@ from .align import (
 from .core import (
     FormatError,
     LeakageError,
+    LengthError,
     Manifest,
     RngStream,
     ShapeError,
@@ -119,7 +120,9 @@ def embed_frames(emb: EmbeddingParams, frames: np.ndarray) -> np.ndarray:
 
 def pooled_embedding(emb: EmbeddingParams, frames: np.ndarray) -> np.ndarray:
     """Per-frame embed, then mean over time: (..., T, C_in) -> (..., C)."""
-    return embed_frames(emb, frames).mean(axis=-2)
+    e = embed_frames(emb, frames)
+    # ndarray.mean's own arithmetic, without its Python wrapper
+    return np.add.reduce(e, axis=-2) / e.shape[-2]
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,10 @@ def episode_arrays(episode, n_way: int) -> EpisodeArrays:
     if any(not g for g in groups):
         raise ValidationError("episode does not cover all classes")
     return EpisodeArrays(
-        support=tuple(np.stack(g) for g in groups),
+        # a 1-shot group is a view of its one read-only frame array
+        support=tuple(
+            g[0][None] if len(g) == 1 else np.stack(g) for g in groups
+        ),
         query=episode.query[0].frames,
         label=int(episode.query[1]),
     )
@@ -862,33 +868,63 @@ def save_checkpoint(model: TrainedModel, path) -> None:
 
 
 def load_checkpoint(path) -> TrainedModel:
+    """Read a checkpoint written by ``save_checkpoint``.
+
+    Every read is checked against the file length, so a cut or malformed
+    file raises ``LengthError`` or ``FormatError``.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != FSVM_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {FSVM_MAGIC!r}")
     off = 4
-    version, config_len = struct.unpack_from("<II", data, off)
-    off += 8
+
+    def take(n: int, what: str) -> int:
+        """Claim the next ``n`` bytes; returns their offset."""
+        nonlocal off
+        if n > len(data) - off:
+            raise LengthError(
+                f"{path}: truncated {what}: needs {n} bytes at offset {off}, "
+                f"file has {len(data)}"
+            )
+        off += n
+        return off - n
+
+    def text(n: int, what: str) -> str:
+        at = take(n, what)
+        try:
+            return data[at : at + n].decode()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {what} is not UTF-8: {exc}") from exc
+
+    version, config_len = struct.unpack_from("<II", data, take(8, "header"))
     if version != FSVM_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    cfg = MethodConfig(**json.loads(data[off : off + config_len].decode()))
-    off += config_len
-    (n_blocks,) = struct.unpack_from("<I", data, off)
-    off += 4
+    config = text(config_len, "config")
+    try:
+        cfg = MethodConfig(**json.loads(config))
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise FormatError(f"{path}: bad config block: {exc}") from exc
+    (n_blocks,) = struct.unpack_from("<I", data, take(4, "block count"))
     blocks: dict[str, np.ndarray] = {}
     for _ in range(n_blocks):
-        (name_len,) = struct.unpack_from("<I", data, off)
-        off += 4
-        name = data[off : off + name_len].decode()
-        off += name_len
-        rows, cols = struct.unpack_from("<II", data, off)
-        off += 8
+        (name_len,) = struct.unpack_from("<I", data, take(4, "block header"))
+        name = text(name_len, "block name")
+        rows, cols = struct.unpack_from("<II", data, take(8, f"block {name!r}"))
         count = rows * cols
-        arr = np.frombuffer(data, dtype="<f8", count=count, offset=off)
-        off += count * 8
+        at = take(count * 8, f"block {name!r}")
+        arr = np.frombuffer(data, dtype="<f8", count=count, offset=at)
         blocks[name] = arr.reshape(rows, cols).astype(np.float64)
     if off != len(data):
         raise FormatError(f"{path}: {len(data) - off} trailing bytes")
+    required = ["embed.weight", "embed.bias"]
+    if cfg.method in CLASSIFIER_METHODS or any(n.startswith("head.") for n in blocks):
+        required += ["head.weight", "head.bias"]
+    if cfg.method == "cmn-lite":
+        required.append("saliency.queries")
+    missing = [n for n in required if n not in blocks]
+    if missing:
+        raise FormatError(f"{path}: missing checkpoint block(s) {missing}")
 
     embedding = EmbeddingParams(blocks["embed.weight"], blocks["embed.bias"][:, 0])
     base_head = None

@@ -19,7 +19,12 @@ from fsvc.align import (
     saliency_attention,
     validate_path,
 )
-from fsvc.core import DegenerateInputError, RngStream, ValidationError
+from fsvc.core import (
+    DegenerateInputError,
+    RngStream,
+    ShapeError,
+    ValidationError,
+)
 
 
 def test_mean_pool_arithmetic():
@@ -55,6 +60,20 @@ def test_cosine_basic_cases():
 def test_cosine_zero_norm_is_error():
     with pytest.raises(DegenerateInputError):
         cosine([0.0, 0.0], [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([1.0, 2.0], [1.0, 2.0, 3.0]),
+        (np.ones((2, 2)), np.ones((2, 2))),
+        (np.ones((1, 3)), np.ones(3)),
+        (1.0, 2.0),
+    ],
+)
+def test_cosine_rejects_non_vector_shapes(a, b):
+    with pytest.raises(ShapeError, match="1-D vectors of equal length"):
+        cosine(a, b)
 
 
 def test_distance_matrix_orthonormal_rows():

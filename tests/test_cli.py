@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from fsvc.cli import main
@@ -138,6 +139,40 @@ def test_train_pretrained_flow(bench_dir):
     model = load_checkpoint(ckpt)
     assert model.config.init == "pretrained"
     assert model.config.resolved_lr_base() == pytest.approx(1e-4)
+
+
+@pytest.fixture(scope="module")
+def untrained_ckpt(bench_dir):
+    from fsvc.protocols import (
+        MethodConfig,
+        TrainedModel,
+        init_embedding,
+        save_checkpoint,
+    )
+
+    path = bench_dir / "untrained.fsvm"
+    emb = init_embedding(np.random.default_rng(0), 8, SPEC["feature_dim"])
+    cfg = MethodConfig("meta-baseline", embed_dim=8)
+    save_checkpoint(TrainedModel(emb, None, None, cfg), path)
+    return path
+
+
+@pytest.mark.parametrize("episodes", ["-3", "0"])
+def test_eval_rejects_fewer_than_one_episode(bench_dir, untrained_ckpt, episodes):
+    proc = subprocess.run(
+        [sys.executable, "-m", "fsvc.cli", "eval",
+         "--ckpt", str(untrained_ckpt),
+         "--manifest", str(bench_dir / "bench" / "manifest.json"),
+         "--episodes", episodes,
+         "--report", str(bench_dir / "never.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert f"got {episodes}" in proc.stderr
+    assert not (bench_dir / "never.json").exists()
 
 
 def test_unknown_method_is_usage_error():

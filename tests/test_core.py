@@ -64,6 +64,19 @@ def test_round_trip_single_precision_payload(tmp_path):
         )
 
 
+def test_read_frames_are_bitwise_float32_widened(tmp_path):
+    tiny = float(np.finfo(np.float32).smallest_subnormal)
+    frames = np.array([[-0.0, tiny, -tiny], [1 / 3, 3.0e38, -7.25]])
+    path = tmp_path / "w.fsvf"
+    write_feature_file(FeatureSequence("w", 0, frames), path)
+    payload = path.read_bytes()[16:]
+    back = read_feature_file(path).frames
+    expected = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(2, 3)
+    assert back.dtype == np.float64 and back.shape == (2, 3)
+    assert back.tobytes() == expected.tobytes()
+    assert back.flags.owndata and not back.flags.writeable
+
+
 def test_nan_sequence_rejected_before_writing(tmp_path):
     with pytest.raises(ValidationError):
         FeatureSequence("bad", 0, np.array([[np.nan, 1.0]]))

@@ -1,0 +1,180 @@
+"""Differential tests: the tuned kernels against their frozen numpy forms.
+
+Every comparison is bitwise: costs and distances must have the same IEEE
+bytes, paths the same steps, and errors the same type and message.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import scalar_oracle as oracle
+from fsvc import align, protocols
+from fsvc.core import FeatureSequence, FsvcError
+
+SETTINGS = settings(max_examples=100, deadline=None)
+
+# rounding to 0.1 makes ties between DTW predecessors common, and a few
+# distinct levels make them more common still
+tenths = st.integers(-20, 20).map(lambda k: k / 10)
+values = st.one_of(tenths, st.floats(-2.0, 2.0, allow_nan=False, width=64))
+distances = st.one_of(
+    st.sampled_from([0.0, 0.1, 0.2]), tenths.map(abs), st.floats(0.0, 2.0)
+)
+
+
+def same_bits(x, y) -> bool:
+    x = np.asarray(x)
+    y = np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def outcome(fn, *args):
+    """Result of a call, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except FsvcError as exc:
+        return (type(exc), str(exc))
+
+
+@SETTINGS
+@given(
+    hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(1, 10), st.integers(1, 10)),
+        elements=distances,
+    )
+)
+@example(np.zeros((1, 1)))
+@example(np.zeros((8, 8)))
+@example(np.zeros((1, 10)))
+@example(np.zeros((10, 1)))
+@example(np.ones((3, 7)))
+@example(np.array([[0.0, 0.0, 0.5], [0.0, 0.9, 0.0], [0.5, 0.0, 0.0]]))
+def test_dtw_matches_oracle_bitwise(d):
+    cost, path = align.dtw(d)
+    ref_cost, ref_path = oracle.dtw(d)
+    assert type(cost) is float
+    assert struct.pack("<d", cost) == struct.pack("<d", ref_cost)
+    assert path == ref_path
+
+
+def test_dtw_accepts_non_contiguous_views():
+    d = np.arange(64, dtype=np.float64).reshape(8, 8) % 3 / 10
+    view = d[::2, 1::2].T
+    assert align.dtw(view) == oracle.dtw(view)
+
+
+@st.composite
+def same_width(draw, rows):
+    """Two float arrays of ``rows`` shapes (None: 1-D) with one last dim."""
+    c = draw(st.integers(1, 16))
+    return tuple(
+        draw(
+            hnp.arrays(
+                np.float64,
+                (c,) if r is None else (draw(st.integers(1, r)), c),
+                elements=values,
+            )
+        )
+        for r in rows
+    )
+
+
+@SETTINGS
+@given(same_width((None, None)))
+@example((np.zeros(4), np.ones(4)))
+def test_cosine_matches_oracle_bitwise(pair):
+    a, b = pair
+    got = outcome(align.cosine, a, b)
+    ref = outcome(oracle.cosine, a, b)
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert type(got) is float
+        assert struct.pack("<d", got) == struct.pack("<d", ref)
+
+
+@SETTINGS
+@given(same_width((10, 10)))
+@example((np.zeros((8, 16)), np.ones((8, 16))))
+@example((np.ones((1, 5)), np.ones((10, 5))))
+def test_frame_distance_matrix_matches_oracle_bitwise(pair):
+    q, s = pair
+    got = outcome(align.frame_distance_matrix, q, s)
+    ref = outcome(oracle.frame_distance_matrix, q, s)
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert same_bits(got, ref)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lead=st.lists(st.integers(1, 5), max_size=2),
+    t=st.integers(1, 10),
+    c_in=st.integers(1, 12),
+    d=st.integers(1, 16),
+    rounded=st.booleans(),
+)
+def test_pooled_embedding_matches_oracle_bitwise(seed, lead, t, c_in, d, rounded):
+    gen = np.random.default_rng(seed)
+    emb = protocols.EmbeddingParams(
+        gen.standard_normal((d, c_in)), gen.standard_normal(d)
+    )
+    frames = gen.standard_normal((*lead, t, c_in))
+    if rounded:
+        frames = np.round(frames, 1)
+    assert same_bits(
+        protocols.pooled_embedding(emb, frames),
+        oracle.pooled_embedding(emb, frames),
+    )
+
+
+class _Episode:
+    def __init__(self, support, query):
+        self.support = support
+        self.query = query
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_way=st.integers(2, 5),
+    k_shot=st.integers(1, 5),
+    t=st.integers(1, 10),
+)
+def test_episode_arrays_matches_oracle_bitwise(seed, n_way, k_shot, t):
+    gen = np.random.default_rng(seed)
+    support = [
+        (FeatureSequence(f"v{c}_{k}", c, gen.standard_normal((t, 6))), c)
+        for k in range(k_shot)
+        for c in gen.permutation(n_way)
+    ]
+    label = int(gen.integers(n_way))
+    query = (FeatureSequence("q", label, gen.standard_normal((t, 6))), label)
+    episode = _Episode(support, query)
+    got = protocols.episode_arrays(episode, n_way)
+    ref = oracle.episode_arrays(episode, n_way)
+    assert got.label == ref.label
+    assert same_bits(got.query, ref.query)
+    assert len(got.support) == len(ref.support) == n_way
+    for g, r in zip(got.support, ref.support):
+        assert same_bits(g, r)
+
+
+def test_episode_arrays_missing_class_matches_oracle():
+    frames = np.ones((3, 2))
+    episode = _Episode(
+        [(FeatureSequence("a", 0, frames), 0)], (FeatureSequence("q", 0, frames), 0)
+    )
+    with pytest.raises(FsvcError) as got:
+        protocols.episode_arrays(episode, 2)
+    with pytest.raises(FsvcError) as ref:
+        oracle.episode_arrays(episode, 2)
+    assert (got.type, str(got.value)) == (ref.type, str(ref.value))

@@ -1,5 +1,6 @@
 """Method implementations: gradients, training, adaptation, checkpoints."""
 
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from fsvc.align import SaliencyParams
 from fsvc.core import (
     FeatureSequence,
+    FormatError,
     LeakageError,
+    LengthError,
     RngStream,
     ValidationError,
     load_manifest,
@@ -505,6 +508,64 @@ def test_checkpoint_magic_guard(tmp_path):
     from fsvc.core import FormatError
 
     with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def _small_model(method):
+    gen = np.random.default_rng(1)
+    cfg = _fast_cfg(method, embed_dim=3, saliency_heads=2)
+    head = init_head(gen, 4, 3) if method in CLASSIFIER_METHODS else None
+    sal = (
+        SaliencyParams(gen.standard_normal((2, 3)), 1.0 / np.sqrt(3))
+        if method == "cmn-lite"
+        else None
+    )
+    return TrainedModel(init_embedding(gen, 3, 2), head, sal, cfg)
+
+
+@pytest.mark.parametrize("method", ["baseline-plus", "cmn-lite"])
+def test_truncated_checkpoint_is_typed_error(tmp_path, method):
+    path = tmp_path / "whole.fsvm"
+    save_checkpoint(_small_model(method), path)
+    data = path.read_bytes()
+    cut = tmp_path / "cut.fsvm"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        # a cut inside the magic is a bad magic, anywhere later a short read
+        with pytest.raises(LengthError if n >= 4 else FormatError):
+            load_checkpoint(cut)
+    cut.write_bytes(data)
+    assert load_checkpoint(cut).config == _small_model(method).config
+
+
+def _checkpoint_bytes(blocks):
+    config = MethodConfig("meta-baseline").canonical_json().encode()
+    parts = [b"FSVM", struct.pack("<II", 1, len(config)), config]
+    parts.append(struct.pack("<I", len(blocks)))
+    for name, arr in blocks:
+        parts += [struct.pack("<I", len(name)), name.encode()]
+        parts += [struct.pack("<II", *arr.shape), arr.astype("<f8").tobytes()]
+    return b"".join(parts)
+
+
+@pytest.mark.parametrize(
+    "names",
+    [["embed.weight"], ["embed.bias"], ["embed.weight", "embed.bias", "head.weight"]],
+)
+def test_checkpoint_missing_block_is_format_error(tmp_path, names):
+    shapes = {"embed.weight": (3, 2), "embed.bias": (3, 1), "head.weight": (4, 3)}
+    path = tmp_path / "partial.fsvm"
+    path.write_bytes(_checkpoint_bytes([(n, np.ones(shapes[n])) for n in names]))
+    with pytest.raises(FormatError, match="missing checkpoint block"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_bad_config_is_format_error(tmp_path):
+    data = bytearray(_checkpoint_bytes([]))
+    data[12] = ord("[")  # first byte of the config JSON
+    path = tmp_path / "badcfg.fsvm"
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="bad config block"):
         load_checkpoint(path)
 
 
