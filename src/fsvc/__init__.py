@@ -6,7 +6,6 @@ from .align import (
     dtw,
     dtw_bruteforce,
     frame_distance_matrix,
-    mean_pool,
     multi_saliency,
     otam_similarity,
 )
@@ -29,7 +28,6 @@ from .harness import (
 )
 from .heads import (
     AdamState,
-    ImprintedHead,
     LinearHead,
     adam_step,
     dropout_mask,

@@ -1,9 +1,9 @@
 """Temporal aggregation and alignment kernels.
 
-Three ways to compare frame sequences: collapse time by averaging, match
-frames explicitly with dynamic time warping over 1 - cosine distances, or
-pool with learned multi-head saliency attention.  All functions are pure and
-operate on (T, C) float arrays.
+Besides collapsing time by averaging (``protocols.pooled_embedding``), two
+ways to compare frame sequences: match frames explicitly with dynamic time
+warping over 1 - cosine distances, or pool with learned multi-head saliency
+attention.  All functions are pure and operate on (T, C) float arrays.
 
 The kernels run once or more per episode on small arrays (8 x 8 distance
 matrices, 8 x 16 embeddings), where numpy's fixed per-call cost outweighs the
@@ -24,14 +24,6 @@ import numpy as np
 from .core import DegenerateInputError, ShapeError, ValidationError
 
 _NORM_TOL = 1e-300  # anything representable and nonzero passes
-
-
-def mean_pool(seq: np.ndarray) -> np.ndarray:
-    """Arithmetic mean over the time axis of a (T, C) sequence."""
-    seq = np.asarray(seq, dtype=np.float64)
-    if seq.ndim != 2 or seq.shape[0] < 1:
-        raise ValidationError(f"expected (T>=1, C) sequence, got shape {seq.shape}")
-    return seq.mean(axis=0)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

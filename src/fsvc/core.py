@@ -289,6 +289,18 @@ def save_manifest(manifest: Manifest, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def _manifest_rows(path: Path, doc: dict, key: str, types: tuple) -> list:
+    """The rows of ``doc[key]``, each a list whose fields have ``types``."""
+    rows = doc[key]
+    if not isinstance(rows, list):
+        raise FormatError(f"{path}: manifest field {key!r} is not a list")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or tuple(map(type, row)) != types:
+            names = ", ".join(t.__name__ for t in types)
+            raise FormatError(f"{path}: {key} row {i} {row!r} is not [{names}]")
+    return rows
+
+
 def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
     """Load and validate a manifest; rejects overlapping split class sets."""
     path = Path(path)
@@ -296,14 +308,18 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid manifest JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: manifest is not a JSON object")
     for key in ("frame_count", "feature_dim", "classes", "videos"):
         if key not in doc:
             raise FormatError(f"{path}: missing manifest field {key!r}")
     manifest = Manifest(
-        classes=tuple((int(c), str(n)) for c, n in doc["classes"]),
+        classes=tuple(
+            (c, n) for c, n in _manifest_rows(path, doc, "classes", (int, str))
+        ),
         videos=tuple(
-            VideoEntry(str(vid), int(cid), str(fp), str(split))
-            for vid, cid, fp, split in doc["videos"]
+            VideoEntry(*row)
+            for row in _manifest_rows(path, doc, "videos", (str, int, str, str))
         ),
         frame_count=int(doc["frame_count"]),
         feature_dim=int(doc["feature_dim"]),

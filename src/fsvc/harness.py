@@ -1,16 +1,14 @@
 """Episode sampling, large-scale evaluation, split construction, reports.
 
-Evaluation assigns episode e the random stream (seed, e), so accuracy vectors
-are bitwise identical whether episodes run serially or fanned out across
-worker threads (FSVC_THREADS caps the fan-out; 0 means serial).
+Evaluation runs episodes in one serial loop and gives episode e the random
+stream (seed, e), so each episode can be reproduced on its own and report
+bytes depend only on the model, the data and the config.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -183,45 +181,22 @@ def ci95_halfwidth(values: np.ndarray) -> float:
     return float(1.96 * v.std(ddof=1) / np.sqrt(n))
 
 
-def _worker_count(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("FSVC_THREADS", "0"))
-    return max(0, threads)
-
-
 def accuracy_vector(
     model: TrainedModel,
     cfg: MethodConfig,
     data: SplitData,
     n_episodes: int,
-    threads: int | None = None,
 ) -> np.ndarray:
-    """Per-episode 0/1 accuracies, independent of worker scheduling."""
+    """Per-episode 0/1 accuracies; episode e draws from stream (seed, e)."""
     if n_episodes < 1:
         raise ValidationError(f"need at least 1 episode, got {n_episodes}")
     _check_capacity(data, cfg.n_way, cfg.k_shot)
     correct = np.zeros(n_episodes, dtype=np.float64)
-
-    def run(lo: int, hi: int) -> None:
-        for e in range(lo, hi):
-            gen = RngStream(cfg.seed, e).generator()
-            episode = sample_episode(data, cfg.n_way, cfg.k_shot, gen)
-            pred = adapt_and_predict(model, episode, cfg, rng=gen)
-            correct[e] = 1.0 if pred == episode.query[1] else 0.0
-
-    workers = _worker_count(threads)
-    if workers > 1 and n_episodes > 1:
-        bounds = np.linspace(0, n_episodes, workers + 1, dtype=int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(run, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if lo < hi
-            ]
-            for fut in futures:
-                fut.result()
-    else:
-        run(0, n_episodes)
+    for e in range(n_episodes):
+        gen = RngStream(cfg.seed, e).generator()
+        episode = sample_episode(data, cfg.n_way, cfg.k_shot, gen)
+        pred = adapt_and_predict(model, episode, cfg, rng=gen)
+        correct[e] = 1.0 if pred == episode.query[1] else 0.0
     return correct
 
 
@@ -231,12 +206,16 @@ def evaluate(
     manifest: Manifest,
     n_episodes: int = 10000,
     split: str = "test",
-    threads: int | None = None,
 ) -> EvalReport:
     """Mean episode accuracy with a 95% confidence interval."""
+    if model.embedding.in_dim != manifest.feature_dim:
+        raise ValidationError(
+            f"model embeds {model.embedding.in_dim}-dim frames, manifest "
+            f"feature_dim is {manifest.feature_dim}"
+        )
     started = time.perf_counter()
     data = load_split(manifest, split)
-    correct = accuracy_vector(model, cfg, data, n_episodes, threads)
+    correct = accuracy_vector(model, cfg, data, n_episodes)
     return EvalReport(
         method=cfg.method,
         n_way=cfg.n_way,

@@ -1,7 +1,9 @@
 """Classifier machinery: linear heads, cross-entropy, dropout, Adam, imprinting.
 
 Gradients are analytic throughout; every gradient path here is covered by a
-finite-difference check in the test suite.
+finite-difference check in the test suite.  One in-place Adam update serves
+both base training (``adam_step``) and support-set fitting (``train_head``),
+and ``dropout_mask`` is the one inverted-dropout mask.
 """
 
 from __future__ import annotations
@@ -49,14 +51,6 @@ class LinearHead:
     @property
     def in_dim(self) -> int:
         return self.weight.shape[1]
-
-
-@dataclass(frozen=True)
-class ImprintedHead:
-    """A frozen base head plus a novel head stacked on its logits."""
-
-    base: LinearHead
-    novel: LinearHead
 
 
 def init_head(
@@ -118,17 +112,37 @@ def softmax_xent_batch(
 
 
 def dropout_mask(
-    rng: RngStream | np.random.Generator, p: float, dim: int
+    rng: RngStream | np.random.Generator, p: float, shape: int | tuple[int, ...]
 ) -> np.ndarray:
-    """Inverted dropout mask: 0 with probability p, else 1/(1-p).
+    """Inverted dropout mask of the given shape: 0 with probability p, else
+    1/(1-p).
 
     Training-mode only; evaluation applies no mask at all.
     """
     if not 0.0 <= p < 1.0:
         raise ValidationError(f"dropout probability must be in [0, 1), got {p}")
     gen = as_generator(rng)
-    keep = gen.random(dim) >= p
-    return keep.astype(np.float64) / (1.0 - p)
+    return (gen.random(shape) >= p) / (1.0 - p)
+
+
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
+
+def _adam_update(
+    p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, lr: float
+) -> None:
+    """Adam step ``t`` (counted from 1) with bias correction, in place on
+    ``p``, ``m`` and ``v``; ``g`` is left unchanged."""
+    m *= _BETA1
+    m += (1.0 - _BETA1) * g
+    v *= _BETA2
+    v += (1.0 - _BETA2) * np.square(g)
+    denom = v / (1.0 - _BETA2**t)
+    np.sqrt(denom, out=denom)
+    denom += _EPS
+    p -= (lr / (1.0 - _BETA1**t)) * m / denom
 
 
 @dataclass
@@ -136,9 +150,6 @@ class AdamState:
     """First/second-moment accumulators and step counter for named params."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -156,11 +167,9 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
-    """One Adam update with bias correction; returns the new parameters."""
+    """One Adam update; returns new parameter arrays and leaves ``params``
+    unchanged."""
     state.step += 1
-    t = state.step
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
     out: dict[str, np.ndarray] = {}
     for name, p in params.items():
         g = grads[name]
@@ -168,13 +177,8 @@ def adam_step(
             raise ShapeError(
                 f"param {name!r}: grad shape {g.shape} != param shape {p.shape}"
             )
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        out[name] = p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        out[name] = p.copy()
+        _adam_update(out[name], state.m[name], state.v[name], g, state.step, state.lr)
     return out
 
 
@@ -214,13 +218,10 @@ def train_head(
     init: LinearHead,
     iters: int,
     lr: float,
-    dropout_p: float,
-    rng: RngStream | np.random.Generator,
 ) -> LinearHead:
     """Full-batch Adam on mean cross-entropy for exactly ``iters`` steps.
 
-    Dropout, when enabled, is applied to the input features at every step;
-    the returned head is deterministic in (data, init, rng).
+    Deterministic in (features, init): no randomness is drawn.
     """
     if iters < 0:
         raise ValidationError("iters must be >= 0")
@@ -241,37 +242,19 @@ def train_head(
     if iters == 0:
         return init
 
-    gen = as_generator(rng)
-    # augmented parameter: bias folded in as a last column against a 1s input;
-    # Adam is inlined with in-place updates because this loop dominates
-    # per-episode adaptation cost during large evaluations
+    # augmented parameter: bias folded in as a last column against a 1s input
     p = np.concatenate([init.weight, init.bias[:, None]], axis=1)
     x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
     rows = np.arange(n)
     m = np.zeros_like(p)
     v = np.zeros_like(p)
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    denom = np.empty_like(p)
     for t in range(1, iters + 1):
-        if dropout_p > 0.0:
-            mask = (gen.random((n, d)) >= dropout_p) / (1.0 - dropout_p)
-            xa = np.concatenate([x * mask, np.ones((n, 1))], axis=1)
-        else:
-            xa = x1
-        logits = xa @ p.T
+        logits = x1 @ p.T
         logits -= logits.max(axis=1, keepdims=True)
         np.exp(logits, out=logits)
         logits /= logits.sum(axis=1, keepdims=True)
         logits[rows, y] -= 1.0
-        dp = logits.T @ xa
+        dp = logits.T @ x1
         dp /= n
-        m *= beta1
-        m += (1.0 - beta1) * dp
-        np.square(dp, out=dp)
-        v *= beta2
-        v += (1.0 - beta2) * dp
-        np.divide(v, 1.0 - beta2**t, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += eps
-        p -= (lr / (1.0 - beta1**t)) * m / denom
+        _adam_update(p, m, v, dp, t, lr)
     return LinearHead(p[:, :-1], p[:, -1])

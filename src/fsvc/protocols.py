@@ -48,9 +48,9 @@ from .core import (
 )
 from .heads import (
     AdamState,
-    ImprintedHead,
     LinearHead,
     adam_step,
+    dropout_mask,
     imprint,
     init_head,
     linear_forward,
@@ -73,6 +73,14 @@ STREAM_ADAPT = 10 << 32
 
 FSVM_MAGIC = b"FSVM"
 FSVM_VERSION = 1
+# checkpoint block name -> training parameter name; biases are stored (C, 1)
+FSVM_BLOCKS = {
+    "embed.weight": "embed_w",
+    "embed.bias": "embed_b",
+    "head.weight": "head_w",
+    "head.bias": "head_b",
+    "saliency.queries": "sal_q",
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,6 +230,26 @@ class TrainedModel:
         return h.hexdigest()
 
 
+def _model_from_params(
+    params: dict[str, np.ndarray], cfg: MethodConfig
+) -> TrainedModel:
+    """Freeze named parameters (``embed_w``, ``embed_b``, and ``head_w`` /
+    ``head_b`` or ``sal_q`` when present) into a model; the arrays are
+    copied."""
+    base_head = None
+    if "head_w" in params:
+        base_head = LinearHead(params["head_w"], params["head_b"])
+    saliency = None
+    if "sal_q" in params:
+        saliency = SaliencyParams(params["sal_q"], 1.0 / np.sqrt(cfg.embed_dim))
+    return TrainedModel(
+        embedding=EmbeddingParams(params["embed_w"], params["embed_b"]),
+        base_head=base_head,
+        saliency=saliency,
+        config=cfg,
+    )
+
+
 @dataclass(frozen=True)
 class EpisodeArrays:
     """Episode contents as raw arrays: per-class support stacks plus query."""
@@ -262,6 +290,12 @@ def _cos_grads(
     return c, du, dv
 
 
+def _embedding_grads(dE: np.ndarray, inputs: np.ndarray) -> dict[str, np.ndarray]:
+    """Embedding gradients from stacked per-frame output gradients (R, C) and
+    the matching inputs (R, C_in) of the affine map."""
+    return {"embed_w": dE.T @ inputs, "embed_b": dE.sum(axis=0)}
+
+
 def classification_loss_and_grads(
     emb: EmbeddingParams,
     head: LinearHead,
@@ -286,12 +320,9 @@ def classification_loss_and_grads(
     dh = dlogits @ head.weight
     dpooled = dh if mask is None else dh * mask
     xbar = frames.mean(axis=1)  # (N, C_in); mean pool commutes with the affine map
-    grads = {
-        "embed_w": dpooled.T @ xbar,
-        "embed_b": dpooled.sum(axis=0),
-        "head_w": dhead_w,
-        "head_b": dhead_b,
-    }
+    grads = _embedding_grads(dpooled, xbar)
+    grads["head_w"] = dhead_w
+    grads["head_b"] = dhead_b
     return loss, grads
 
 
@@ -312,18 +343,12 @@ def metabaseline_loss_and_grads(
     loss, dscores = softmax_xent(tau * scores, ep.label)
     g = tau * dscores
 
-    dq_total = np.zeros_like(q)
-    dembed_w = np.zeros_like(emb.weight)
-    dembed_b = np.zeros_like(emb.bias)
-    for c in range(len(protos)):
-        dq_total += g[c] * dcos_q[c]
-        dp = g[c] * dcos_p[c]
-        xbar_c = ep.support[c].mean(axis=(0, 1))  # mean over shots and time
-        dembed_w += np.outer(dp, xbar_c)
-        dembed_b += dp
-    dembed_w += np.outer(dq_total, ep.query.mean(axis=0))
-    dembed_b += dq_total
-    return loss, {"embed_w": dembed_w, "embed_b": dembed_b}
+    # one row per prototype (inputs averaged over shots and time), then the query
+    dE = [g[c] * dcos_p[c] for c in range(len(protos))]
+    dE.append(sum(g[c] * dcos_q[c] for c in range(len(protos))))
+    inputs = [frames.mean(axis=(0, 1)) for frames in ep.support]
+    inputs.append(ep.query.mean(axis=0))
+    return loss, _embedding_grads(np.stack(dE), np.stack(inputs))
 
 
 def _saliency_backward(
@@ -386,22 +411,18 @@ def cmn_loss_and_grads(
             dq_desc[s] += (g[c] / n_heads) * dqs
             ddesc_class[c][s] += (g[c] / n_heads) * dps
 
-    dembed_w = np.zeros_like(emb.weight)
-    dembed_b = np.zeros_like(emb.bias)
-    dqueries = np.zeros_like(sal.queries)
-
-    dE_q, dq_sal = _saliency_backward(q_emb, q_att, sal, dq_desc)
-    dembed_w += dE_q.T @ ep.query
-    dembed_b += dE_q.sum(axis=0)
-    dqueries += dq_sal
+    dE_q, dqueries = _saliency_backward(q_emb, q_att, sal, dq_desc)
+    dE = [dE_q]
     for c, members in enumerate(class_members):
         share = ddesc_class[c] / len(members)
         for idx in members:
-            dE, dq_sal = _saliency_backward(sup_emb[idx], sup_att[idx], sal, share)
-            dembed_w += dE.T @ sup_frames[idx]
-            dembed_b += dE.sum(axis=0)
+            dE_s, dq_sal = _saliency_backward(sup_emb[idx], sup_att[idx], sal, share)
+            dE.append(dE_s)
             dqueries += dq_sal
-    return loss, {"embed_w": dembed_w, "embed_b": dembed_b, "sal_q": dqueries}
+    inputs = np.concatenate([ep.query, *sup_frames])
+    grads = _embedding_grads(np.concatenate(dE), inputs)
+    grads["sal_q"] = dqueries
+    return loss, grads
 
 
 def otam_loss_and_grads(
@@ -451,8 +472,8 @@ def otam_loss_and_grads(
     g = tau * dscores
 
     dq_emb = np.zeros_like(q_emb)
-    dembed_w = np.zeros_like(emb.weight)
-    dembed_b = np.zeros_like(emb.bias)
+    dE = [dq_emb]
+    inputs = [ep.query]
     for c in range(n_way):
         k_c = len(sup_emb[c])
         for i, steps in enumerate(cos_cache[c]):
@@ -464,11 +485,9 @@ def otam_loss_and_grads(
             for a, b, du, dv in steps:
                 dq_emb[a] += coef * du
                 dE_s[b] += coef * dv
-            dembed_w += dE_s.T @ ep.support[c][i]
-            dembed_b += dE_s.sum(axis=0)
-    dembed_w += dq_emb.T @ ep.query
-    dembed_b += dq_emb.sum(axis=0)
-    return loss, {"embed_w": dembed_w, "embed_b": dembed_b}, paths
+            dE.append(dE_s)
+            inputs.append(ep.support[c][i])
+    return loss, _embedding_grads(np.concatenate(dE), np.concatenate(inputs)), paths
 
 
 # ---------------------------------------------------------------------------
@@ -548,12 +567,7 @@ def adapt_and_predict(
     if cfg.method == "baseline":
         init = init_head(gen, cfg.n_way, emb.out_dim)
         head = train_head(
-            list(zip(sup_feats, sup_labels)),
-            init,
-            cfg.iters_adapt,
-            cfg.lr_adapt,
-            0.0,
-            gen,
+            list(zip(sup_feats, sup_labels)), init, cfg.iters_adapt, cfg.lr_adapt
         )
         return int(np.argmax(linear_forward(head, q_feat)))
 
@@ -564,15 +578,9 @@ def adapt_and_predict(
     novel = imprint(list(zip(sup_logits, sup_labels)), cfg.n_way)
     if cfg.iters_adapt > 0:
         novel = train_head(
-            list(zip(sup_logits, sup_labels)),
-            novel,
-            cfg.iters_adapt,
-            cfg.lr_adapt,
-            0.0,
-            gen,
+            list(zip(sup_logits, sup_labels)), novel, cfg.iters_adapt, cfg.lr_adapt
         )
-    stacked = ImprintedHead(base=base, novel=novel)
-    return int(np.argmax(linear_forward(stacked.novel, q_logits)))
+    return int(np.argmax(linear_forward(novel, q_logits)))
 
 
 # ---------------------------------------------------------------------------
@@ -642,14 +650,6 @@ def train_classification(
     gen = RngStream(cfg.seed, stream_base + STREAM_BATCH).generator()
     use_dropout = cfg.method == "baseline-plus" and cfg.dropout_p > 0.0
 
-    def snapshot() -> TrainedModel:
-        return TrainedModel(
-            embedding=EmbeddingParams(params["embed_w"], params["embed_b"]),
-            base_head=LinearHead(params["head_w"], params["head_b"]),
-            saliency=None,
-            config=cfg,
-        )
-
     val_data = None
     if select_by_val:
         val_data = harness.load_split(manifest, "val")
@@ -663,24 +663,21 @@ def train_classification(
         idx = gen.choice(n_samples, size=batch, replace=False)
         mask = None
         if use_dropout:
-            mask = (
-                gen.random((batch, cfg.embed_dim)) >= cfg.dropout_p
-            ) / (1.0 - cfg.dropout_p)
-        emb_view = EmbeddingParams(params["embed_w"], params["embed_b"])
-        head_view = LinearHead(params["head_w"], params["head_b"])
+            mask = dropout_mask(gen, cfg.dropout_p, (batch, cfg.embed_dim))
+        model = _model_from_params(params, cfg)
         _, grads = classification_loss_and_grads(
-            emb_view, head_view, frames[idx], labels[idx], mask
+            model.embedding, model.base_head, frames[idx], labels[idx], mask
         )
         params = adam_step(state, params, grads)
         if val_data is not None and (
             step % cfg.val_every == 0 or step == cfg.train_steps
         ):
-            model = snapshot()
+            model = _model_from_params(params, cfg)
             acc = _val_accuracy(model, cfg, val_data)
             if acc > best_acc:
                 best_acc = acc
                 best = model
-    return best if best is not None else snapshot()
+    return best if best is not None else _model_from_params(params, cfg)
 
 
 def meta_train(
@@ -714,19 +711,6 @@ def meta_train(
         params["sal_q"] = np.array(sal.queries)
     state = AdamState.for_params(params, cfg.resolved_lr_base())
 
-    def snapshot() -> TrainedModel:
-        saliency = None
-        if cfg.method == "cmn-lite":
-            saliency = SaliencyParams(
-                params["sal_q"], 1.0 / np.sqrt(cfg.embed_dim)
-            )
-        return TrainedModel(
-            embedding=EmbeddingParams(params["embed_w"], params["embed_b"]),
-            base_head=None,
-            saliency=saliency,
-            config=cfg,
-        )
-
     val_data = harness.load_split(manifest, "val")
     if not val_data.class_ids:
         val_data = None
@@ -741,24 +725,23 @@ def meta_train(
             counter += 1
             episode = harness.sample_episode(train_data, cfg.n_way, cfg.k_shot, gen)
             ep = episode_arrays(episode, cfg.n_way)
-            emb_view = EmbeddingParams(params["embed_w"], params["embed_b"])
+            model = _model_from_params(params, cfg)
             if cfg.method == "meta-baseline":
-                _, grads = metabaseline_loss_and_grads(emb_view, ep, cfg.temperature)
-            elif cfg.method == "cmn-lite":
-                sal_view = SaliencyParams(
-                    params["sal_q"], 1.0 / np.sqrt(cfg.embed_dim)
+                _, grads = metabaseline_loss_and_grads(
+                    model.embedding, ep, cfg.temperature
                 )
+            elif cfg.method == "cmn-lite":
                 _, grads = cmn_loss_and_grads(
-                    emb_view, sal_view, ep, cfg.temperature
+                    model.embedding, model.saliency, ep, cfg.temperature
                 )
             else:
                 _, grads, _ = otam_loss_and_grads(
-                    emb_view, ep, cfg.temperature, normalize=cfg.dtw_normalize
+                    model.embedding, ep, cfg.temperature, normalize=cfg.dtw_normalize
                 )
             params = adam_step(state, params, grads)
         if val_data is None:
             continue
-        model = snapshot()
+        model = _model_from_params(params, cfg)
         acc = _val_accuracy(model, cfg, val_data)
         if acc > best_acc:
             best_acc = acc
@@ -768,7 +751,7 @@ def meta_train(
             stale += 1
             if stale >= cfg.patience:
                 break
-    return best if best is not None else snapshot()
+    return best if best is not None else _model_from_params(params, cfg)
 
 
 def pretrain_embedding(
@@ -870,7 +853,8 @@ def save_checkpoint(model: TrainedModel, path) -> None:
 def load_checkpoint(path) -> TrainedModel:
     """Read a checkpoint written by ``save_checkpoint``.
 
-    Every read is checked against the file length, so a cut or malformed
+    Every read is checked against the file length, and every block's name
+    and shape against the config and ``embed.weight``, so a cut or malformed
     file raises ``LengthError`` or ``FormatError``.
     """
     with open(path, "rb") as fh:
@@ -910,6 +894,10 @@ def load_checkpoint(path) -> TrainedModel:
     for _ in range(n_blocks):
         (name_len,) = struct.unpack_from("<I", data, take(4, "block header"))
         name = text(name_len, "block name")
+        if name not in FSVM_BLOCKS:
+            raise FormatError(f"{path}: unknown checkpoint block {name!r}")
+        if name in blocks:
+            raise FormatError(f"{path}: duplicate checkpoint block {name!r}")
         rows, cols = struct.unpack_from("<II", data, take(8, f"block {name!r}"))
         count = rows * cols
         at = take(count * 8, f"block {name!r}")
@@ -926,15 +914,23 @@ def load_checkpoint(path) -> TrainedModel:
     if missing:
         raise FormatError(f"{path}: missing checkpoint block(s) {missing}")
 
-    embedding = EmbeddingParams(blocks["embed.weight"], blocks["embed.bias"][:, 0])
-    base_head = None
-    if "head.weight" in blocks:
-        base_head = LinearHead(blocks["head.weight"], blocks["head.bias"][:, 0])
-    saliency = None
-    if "saliency.queries" in blocks:
-        saliency = SaliencyParams(
-            blocks["saliency.queries"], 1.0 / np.sqrt(cfg.embed_dim)
-        )
-    return TrainedModel(
-        embedding=embedding, base_head=base_head, saliency=saliency, config=cfg
-    )
+    c, c_in = cfg.embed_dim, blocks["embed.weight"].shape[1]
+    k = blocks["head.weight"].shape[0] if "head.weight" in blocks else 1
+    expected = {
+        "embed.weight": (c, c_in),
+        "embed.bias": (c, 1),
+        "head.weight": (k, c),
+        "head.bias": (k, 1),
+        "saliency.queries": (cfg.saliency_heads, c),
+    }
+    for name, arr in blocks.items():
+        if arr.shape != expected[name] or 0 in arr.shape:
+            raise FormatError(
+                f"{path}: block {name!r} has shape {arr.shape}, expected "
+                f"{expected[name]} with no empty dimension"
+            )
+    params = {FSVM_BLOCKS[name]: arr for name, arr in blocks.items()}
+    for bias in ("embed_b", "head_b"):
+        if bias in params:
+            params[bias] = params[bias][:, 0]
+    return _model_from_params(params, cfg)

@@ -13,7 +13,8 @@ import numpy as np
 
 from .align import SaliencyParams, cosine, dtw, dtw_bruteforce, path_cost, validate_path
 from .core import FeatureSequence, RngStream
-from .heads import LinearHead, linear_forward
+from .harness import Episode
+from .heads import LinearHead, dropout_mask, linear_forward
 from .protocols import (
     EmbeddingParams,
     EpisodeArrays,
@@ -63,31 +64,6 @@ def max_fd_error(
     return worst
 
 
-def directional_fd_error(
-    loss_fn,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    gen: np.random.Generator,
-    h: float = 1e-5,
-) -> float:
-    """Relative error of the full-gradient projection on a random direction."""
-    direction = {k: gen.standard_normal(p.shape) for k, p in params.items()}
-    norm = np.sqrt(sum(float(np.sum(d * d)) for d in direction.values()))
-    direction = {k: d / norm for k, d in direction.items()}
-    analytic = sum(float(np.sum(grads[k] * direction[k])) for k in params)
-    saved = {k: p.copy() for k, p in params.items()}
-    for k in params:
-        params[k] += h * direction[k]
-    up = loss_fn(params)
-    for k in params:
-        params[k][...] = saved[k] - h * direction[k]
-    down = loss_fn(params)
-    for k in params:
-        params[k][...] = saved[k]
-    fd = (up - down) / (2.0 * h)
-    return abs(analytic - fd) / max(abs(analytic), abs(fd), 1e-6)
-
-
 def _random_episode_arrays(
     gen: np.random.Generator,
     n_way: int = 3,
@@ -116,7 +92,7 @@ def _grad_case(kind: str, gen: np.random.Generator) -> float:
         labels = gen.integers(0, 3, size=6)
         mask = None
         if gen.random() < 0.5:  # also exercise the dropout path, mask frozen
-            mask = (gen.random((6, c)) >= 0.5) / 0.5
+            mask = dropout_mask(gen, 0.5, (6, c))
         params["head_w"] = np.array(head.weight)
         params["head_b"] = np.array(head.bias)
 
@@ -237,9 +213,10 @@ def check_imprint_argmax(n_episodes: int = 200, seed: int = 7) -> str | None:
             for lab in range(n_way)
         )
         q_lab = int(gen.integers(n_way))
-        episode = _DuckEpisode(
+        episode = Episode(
             support,
             (FeatureSequence("q", q_lab, gen.standard_normal((t, c_in))), q_lab),
+            class_map={lab: lab for lab in range(n_way)},
         )
         pred = adapt_and_predict(model, episode, cfg, rng=gen)
         # independent route: nearest support template by cosine in logit space
@@ -254,14 +231,6 @@ def check_imprint_argmax(n_episodes: int = 200, seed: int = 7) -> str | None:
         if pred != by_cosine:
             return f"episode {case}: imprint argmax {pred} != cosine argmax {by_cosine}"
     return None
-
-
-class _DuckEpisode:
-    """Minimal episode stand-in for checks that do not need a manifest."""
-
-    def __init__(self, support, query):
-        self.support = support
-        self.query = query
 
 
 CHECKS = (

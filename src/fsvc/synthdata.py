@@ -9,7 +9,7 @@ at desk scale with a known ground truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -78,11 +78,17 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorSpec":
-        known = {f: doc[f] for f in cls.__dataclass_fields__ if f in doc}
-        unknown = set(doc) - set(cls.__dataclass_fields__)
+        if not isinstance(doc, dict):
+            raise ValidationError("generator spec must be a JSON object")
+        unknown = set(doc) - {f.name for f in fields(cls)}
         if unknown:
             raise ValidationError(f"unknown generator fields: {sorted(unknown)}")
-        return cls(**known)
+        missing = [
+            f.name for f in fields(cls) if f.default is MISSING and f.name not in doc
+        ]
+        if missing:
+            raise ValidationError(f"missing generator fields: {missing}")
+        return cls(**doc)
 
 
 def _correlation_kernel(feature_dim: int, width: float) -> np.ndarray:

@@ -2,17 +2,26 @@
 
 Each function here is a verbatim copy of the straightforward numpy form of a
 kernel in ``fsvc``.  The package's versions are tuned for small arrays, where
-numpy's per-call overhead dominates; the tests in ``test_kernel_oracle.py``
-require them to return bitwise-equal results to these copies.  Only data
-types and error classes are imported from ``fsvc``, so later edits to the
-package cannot move the oracle.
+numpy's per-call overhead dominates, or share code with other callers; the
+tests in ``test_kernel_oracle.py`` require them to return bitwise-equal
+results to these copies.  Only data types, error classes and
+``as_generator`` are imported from ``fsvc``, so later edits to the package
+cannot move the oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fsvc.core import DegenerateInputError, ValidationError
+from fsvc.core import (
+    CoverageError,
+    DegenerateInputError,
+    RngStream,
+    ShapeError,
+    ValidationError,
+    as_generator,
+)
+from fsvc.heads import LinearHead
 from fsvc.protocols import EmbeddingParams, EpisodeArrays
 
 _NORM_TOL = 1e-300
@@ -105,3 +114,63 @@ def episode_arrays(episode, n_way: int) -> EpisodeArrays:
         query=episode.query[0].frames,
         label=int(episode.query[1]),
     )
+
+
+def train_head(
+    features: list[tuple[np.ndarray, int]],
+    init: LinearHead,
+    iters: int,
+    lr: float,
+    dropout_p: float,
+    rng: RngStream | np.random.Generator,
+) -> LinearHead:
+    if iters < 0:
+        raise ValidationError("iters must be >= 0")
+    if not features:
+        raise CoverageError("empty feature set")
+    x = np.stack([np.asarray(f, dtype=np.float64) for f, _ in features])
+    y = np.array([lab for _, lab in features], dtype=np.intp)
+    n, d = x.shape
+    k = init.n_out
+    if d != init.in_dim:
+        raise ShapeError(
+            f"feature dim {d} does not match head input dim {init.in_dim}"
+        )
+    present = set(int(lab) for lab in y)
+    missing = sorted(set(range(k)) - present)
+    if missing:
+        raise CoverageError(f"no samples for class(es) {missing}")
+    if iters == 0:
+        return init
+
+    gen = as_generator(rng)
+    p = np.concatenate([init.weight, init.bias[:, None]], axis=1)
+    x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
+    rows = np.arange(n)
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    denom = np.empty_like(p)
+    for t in range(1, iters + 1):
+        if dropout_p > 0.0:
+            mask = (gen.random((n, d)) >= dropout_p) / (1.0 - dropout_p)
+            xa = np.concatenate([x * mask, np.ones((n, 1))], axis=1)
+        else:
+            xa = x1
+        logits = xa @ p.T
+        logits -= logits.max(axis=1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=1, keepdims=True)
+        logits[rows, y] -= 1.0
+        dp = logits.T @ xa
+        dp /= n
+        m *= beta1
+        m += (1.0 - beta1) * dp
+        np.square(dp, out=dp)
+        v *= beta2
+        v += (1.0 - beta2) * dp
+        np.divide(v, 1.0 - beta2**t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        p -= (lr / (1.0 - beta1**t)) * m / denom
+    return LinearHead(p[:, :-1], p[:, -1])

@@ -12,7 +12,6 @@ from fsvc.align import (
     dtw,
     dtw_bruteforce,
     frame_distance_matrix,
-    mean_pool,
     multi_saliency,
     otam_similarity,
     path_cost,
@@ -25,6 +24,14 @@ from fsvc.core import (
     ShapeError,
     ValidationError,
 )
+from fsvc.protocols import EmbeddingParams, pooled_embedding
+
+
+def mean_pool(seq):
+    """Temporal mean pooling as the methods do it: pooled_embedding under the
+    identity embedding."""
+    c = seq.shape[1]
+    return pooled_embedding(EmbeddingParams(np.eye(c), np.zeros(c)), seq)
 
 
 def test_mean_pool_arithmetic():
@@ -209,7 +216,7 @@ def test_multi_saliency_zero_queries_is_mean_pool():
     params = SaliencyParams.zeros(3, 5)
     desc = multi_saliency(seq, params)
     for row in desc:
-        assert np.allclose(row, mean_pool(seq), atol=1e-12)
+        assert np.allclose(row, seq.mean(axis=0), atol=1e-12)
 
 
 def test_multi_saliency_single_frame():

@@ -175,6 +175,40 @@ def test_eval_rejects_fewer_than_one_episode(bench_dir, untrained_ckpt, episodes
     assert not (bench_dir / "never.json").exists()
 
 
+def _run_cli(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "fsvc.cli", *argv], capture_output=True, text=True
+    )
+
+
+def test_eval_rejects_checkpoint_of_other_feature_dim(bench_dir):
+    from fsvc.protocols import MethodConfig, TrainedModel, init_embedding, save_checkpoint
+
+    path = bench_dir / "dim7.fsvm"
+    emb = init_embedding(np.random.default_rng(0), 8, 7)  # manifest has 10
+    save_checkpoint(TrainedModel(emb, None, None, MethodConfig("meta-baseline", embed_dim=8)), path)
+    proc = _run_cli(
+        "eval", "--ckpt", str(path),
+        "--manifest", str(bench_dir / "bench" / "manifest.json"),
+        "--report", str(bench_dir / "never.json"),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "feature_dim is 10" in proc.stderr
+    assert not (bench_dir / "never.json").exists()
+
+
+def test_gen_spec_with_missing_fields_is_clean_error(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 1}))
+    proc = _run_cli("gen", "--spec", str(spec), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: missing generator fields")
+    assert "videos_per_class" in proc.stderr
+
+
 def test_unknown_method_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--method", "svm", "--manifest", "x", "--out", "y"])

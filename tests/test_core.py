@@ -238,6 +238,34 @@ def test_unknown_split_and_unregistered_class(tmp_path):
         )
 
 
+@pytest.mark.parametrize(
+    "key, row, index",
+    [
+        ("videos", ["a", 0], 0),  # too few fields
+        ("videos", ["a", "0", "a.fsvf", "train"], 0),  # class id is a string
+        ("videos", {"id": "a"}, 0),
+        ("classes", [0, "c0", "extra"], 0),
+        ("classes", ["c0", 0], 0),
+        ("classes", [1.0, "c1"], 1),
+    ],
+)
+def test_malformed_manifest_row_is_format_error(tmp_path, key, row, index):
+    import json
+
+    _write_feature(tmp_path, "a")
+    doc = {
+        "frame_count": 2,
+        "feature_dim": 3,
+        "classes": [[0, "c0"], [1, "c1"]],
+        "videos": [["a", 0, "a.fsvf", "train"]],
+    }
+    doc[key][index] = row
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=rf"{key} row {index} "):
+        load_manifest(path)
+
+
 # ---------------------------------------------------------------------------
 # rng streams
 

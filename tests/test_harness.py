@@ -8,7 +8,6 @@ import pytest
 from fsvc.core import CapacityError, RngStream, load_manifest
 from fsvc.harness import (
     EvalReport,
-    accuracy_vector,
     build_splits,
     ci95_halfwidth,
     evaluate,
@@ -115,17 +114,6 @@ def test_random_model_near_chance(tmp_path):
     model = TrainedModel(emb, None, None, cfg)
     report = evaluate(model, cfg, noisy, n_episodes=10_000)
     assert 0.17 <= report.mean_accuracy <= 0.23
-
-
-def test_evaluate_threads_do_not_change_results(bench):
-    cfg = MethodConfig(method="meta-baseline", n_way=5, k_shot=1, seed=9, embed_dim=8)
-    emb = init_embedding(RngStream(7, 0), 8, bench.feature_dim)
-    model = TrainedModel(emb, None, None, cfg)
-    data = load_split(bench, "test")
-    serial = accuracy_vector(model, cfg, data, 400, threads=0)
-    for workers in (2, 5):
-        parallel = accuracy_vector(model, cfg, data, 400, threads=workers)
-        assert np.array_equal(serial, parallel)
 
 
 def test_evaluate_env_variable_controls_threads(bench, monkeypatch):

@@ -109,6 +109,14 @@ def test_dropout_values_and_probability():
     assert abs(drop_rate - 0.25) < 0.02
 
 
+def test_dropout_mask_shape_matches_inline_form():
+    # the batch mask of base training: one (batch, C) draw, bitwise
+    mask = dropout_mask(RngStream(4, 0), 0.3, (6, 5))
+    draw = RngStream(4, 0).generator().random((6, 5))
+    assert mask.shape == (6, 5)
+    assert np.array_equal(mask, (draw >= 0.3) / (1.0 - 0.3))
+
+
 def test_dropout_p_one_rejected():
     with pytest.raises(ValidationError):
         dropout_mask(RngStream(1, 0), 1.0, 4)
@@ -194,7 +202,7 @@ def test_train_head_separable_toy_set():
         noise = 0.05 * gen.standard_normal(4)
         feats.append((e1 + noise, 0) if i % 2 == 0 else (-e1 + noise, 1))
     init = init_head(RngStream(8, 1), 2, 4)
-    head = train_head(feats, init, 100, 1e-3, 0.0, RngStream(8, 2))
+    head = train_head(feats, init, 100, 1e-3)
     x = np.stack([f for f, _ in feats])
     y = np.array([lab for _, lab in feats])
     preds = linear_forward(head, x).argmax(axis=1)
@@ -203,7 +211,7 @@ def test_train_head_separable_toy_set():
 
 def test_train_head_zero_iters_returns_init():
     init = init_head(RngStream(9, 0), 3, 4)
-    out = train_head([(np.ones(4), c) for c in range(3)], init, 0, 1e-3, 0.0, RngStream(9, 1))
+    out = train_head([(np.ones(4), c) for c in range(3)], init, 0, 1e-3)
     assert np.array_equal(out.weight, init.weight)
     assert np.array_equal(out.bias, init.bias)
 
@@ -213,8 +221,8 @@ def test_train_head_bitwise_deterministic():
     feats = [(gen.standard_normal(5), int(gen.integers(3))) for _ in range(12)]
     feats += [(np.ones(5), c) for c in range(3)]  # ensure coverage
     init = init_head(RngStream(10, 1), 3, 5)
-    a = train_head(feats, init, 50, 1e-3, 0.3, RngStream(10, 2))
-    b = train_head(feats, init, 50, 1e-3, 0.3, RngStream(10, 2))
+    a = train_head(feats, init, 50, 1e-3)
+    b = train_head(feats, init, 50, 1e-3)
     assert np.array_equal(a.weight, b.weight)
     assert np.array_equal(a.bias, b.bias)
 
@@ -222,9 +230,9 @@ def test_train_head_bitwise_deterministic():
 def test_train_head_missing_class_rejected():
     init = init_head(RngStream(11, 0), 3, 4)
     with pytest.raises(CoverageError):
-        train_head([(np.ones(4), 0)], init, 10, 1e-3, 0.0, RngStream(11, 1))
+        train_head([(np.ones(4), 0)], init, 10, 1e-3)
     with pytest.raises(CoverageError):
-        train_head([], init, 10, 1e-3, 0.0, RngStream(11, 1))
+        train_head([], init, 10, 1e-3)
 
 
 def test_train_head_loss_decreases_over_seeds():
@@ -246,5 +254,5 @@ def test_train_head_loss_decreases_over_seeds():
         def mean_loss(head):
             return softmax_xent_batch(linear_forward(head, x), y)[0]
 
-        trained = train_head(feats, init, 100, 1e-3, 0.0, gen)
+        trained = train_head(feats, init, 100, 1e-3)
         assert mean_loss(trained) < mean_loss(init)

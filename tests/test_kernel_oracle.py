@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import scalar_oracle as oracle
-from fsvc import align, protocols
-from fsvc.core import FeatureSequence, FsvcError
+from fsvc import align, heads, protocols
+from fsvc.core import FeatureSequence, FsvcError, RngStream
 
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -178,3 +178,48 @@ def test_episode_arrays_missing_class_matches_oracle():
     with pytest.raises(FsvcError) as ref:
         oracle.episode_arrays(episode, 2)
     assert (got.type, str(got.value)) == (ref.type, str(ref.value))
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_way=st.integers(2, 5),
+    k_shot=st.integers(1, 5),
+    d=st.integers(1, 16),
+    iters=st.integers(0, 50),
+)
+def test_train_head_matches_oracle_bitwise(seed, n_way, k_shot, d, iters):
+    gen = np.random.default_rng(seed)
+    feats = [(gen.standard_normal(d), c) for c in range(n_way) for _ in range(k_shot)]
+    init = heads.init_head(gen, n_way, d)
+    lr = float(gen.choice([1e-3, 1e-2, 0.1]))
+    got = heads.train_head(feats, init, iters, lr)
+    ref = oracle.train_head(feats, init, iters, lr, 0.0, RngStream(0))
+    assert same_bits(got.weight, ref.weight)
+    assert same_bits(got.bias, ref.bias)
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 6)),
+    steps=st.integers(1, 8),
+    lr=st.sampled_from([1e-5, 1e-3, 0.1]),
+)
+def test_adam_step_matches_shared_kernel_bitwise(seed, shape, steps, lr):
+    gen = np.random.default_rng(seed)
+    params = {"w": gen.standard_normal(shape), "b": gen.standard_normal(shape[0])}
+    state = heads.AdamState.for_params(params, lr)
+    ref = {k: p.copy() for k, p in params.items()}
+    moments = {k: (np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
+    for t in range(1, steps + 1):
+        grads = {k: gen.standard_normal(p.shape) for k, p in params.items()}
+        prev = params
+        saved = {k: (prev[k].copy(), grads[k].copy()) for k in prev}
+        params = heads.adam_step(state, prev, grads)
+        assert state.step == t
+        for k, g in grads.items():
+            heads._adam_update(ref[k], *moments[k], g, t, lr)
+            assert same_bits(params[k], ref[k])
+            # adam_step returns new arrays and leaves its inputs alone
+            assert same_bits(prev[k], saved[k][0]) and same_bits(g, saved[k][1])

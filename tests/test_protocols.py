@@ -538,8 +538,8 @@ def test_truncated_checkpoint_is_typed_error(tmp_path, method):
     assert load_checkpoint(cut).config == _small_model(method).config
 
 
-def _checkpoint_bytes(blocks):
-    config = MethodConfig("meta-baseline").canonical_json().encode()
+def _checkpoint_bytes(blocks, cfg=None):
+    config = (cfg or MethodConfig("meta-baseline")).canonical_json().encode()
     parts = [b"FSVM", struct.pack("<II", 1, len(config)), config]
     parts.append(struct.pack("<I", len(blocks)))
     for name, arr in blocks:
@@ -557,6 +557,55 @@ def test_checkpoint_missing_block_is_format_error(tmp_path, names):
     path = tmp_path / "partial.fsvm"
     path.write_bytes(_checkpoint_bytes([(n, np.ones(shapes[n])) for n in names]))
     with pytest.raises(FormatError, match="missing checkpoint block"):
+        load_checkpoint(path)
+
+
+_GOOD_BLOCKS = {
+    "embed.weight": (3, 2),
+    "embed.bias": (3, 1),
+    "head.weight": (4, 3),
+    "head.bias": (4, 1),
+    "saliency.queries": (2, 3),
+}
+
+
+@pytest.mark.parametrize(
+    "method, changes, message",
+    [
+        ("baseline", {}, None),
+        ("cmn-lite", {}, None),
+        ("cmn-lite", {"junk": (1, 1)}, "unknown checkpoint block 'junk'"),
+        ("baseline", {"embed.bias": (3, 0)}, "'embed.bias' has shape"),
+        ("baseline", {"embed.bias": (2, 1)}, "'embed.bias' has shape"),
+        ("baseline", {"embed.weight": (4, 2)}, "'embed.weight' has shape"),
+        ("baseline", {"embed.weight": (3, 0)}, "'embed.weight' has shape"),
+        ("baseline", {"head.weight": (4, 2)}, "'head.weight' has shape"),
+        ("baseline", {"head.bias": (5, 1)}, "'head.bias' has shape"),
+        ("baseline", {"head.weight": (0, 3), "head.bias": (0, 1)}, "'head.weight' has shape"),
+        ("cmn-lite", {"saliency.queries": (3, 3)}, "'saliency.queries' has shape"),
+        ("cmn-lite", {"saliency.queries": (2, 4)}, "'saliency.queries' has shape"),
+    ],
+)
+def test_checkpoint_block_names_and_shapes_checked(tmp_path, method, changes, message):
+    cfg = _fast_cfg(method, embed_dim=3, saliency_heads=2)
+    wanted = ["embed.weight", "embed.bias"]
+    wanted += ["head.weight", "head.bias"] if method in CLASSIFIER_METHODS else ["saliency.queries"]
+    shapes = {name: _GOOD_BLOCKS[name] for name in wanted}
+    shapes.update(changes)
+    path = tmp_path / "shaped.fsvm"
+    path.write_bytes(_checkpoint_bytes([(n, np.ones(sh)) for n, sh in shapes.items()], cfg))
+    if message is None:
+        assert load_checkpoint(path).config == cfg
+    else:
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint(path)
+
+
+def test_checkpoint_duplicate_block_is_format_error(tmp_path):
+    blocks = [("embed.weight", np.ones((16, 2))), ("embed.bias", np.ones((16, 1)))]
+    path = tmp_path / "dup.fsvm"
+    path.write_bytes(_checkpoint_bytes(blocks + blocks[1:]))
+    with pytest.raises(FormatError, match="duplicate checkpoint block 'embed.bias'"):
         load_checkpoint(path)
 
 

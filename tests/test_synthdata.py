@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsvc.align import cosine, dtw, frame_distance_matrix, mean_pool
+from fsvc.align import cosine, dtw, frame_distance_matrix
 from fsvc.core import RngStream, ValidationError, load_manifest, load_sequence
 from fsvc.synthdata import (
     GeneratorSpec,
@@ -160,7 +160,7 @@ def test_class_separability_of_mean_pooled_features(tmp_path):
     pooled = {}
     for entry in manifest.videos:
         seq = load_sequence(manifest, entry)
-        pooled.setdefault(entry.class_id, []).append(mean_pool(seq.frames))
+        pooled.setdefault(entry.class_id, []).append(seq.frames.mean(axis=0))
     within, between = [], []
     cids = sorted(pooled)
     for i, ci in enumerate(cids):
@@ -213,3 +213,13 @@ def test_spec_validation():
         _spec(noise_sigma=-1.0)
     with pytest.raises(ValidationError):
         GeneratorSpec.from_dict({"n_train_classes": 1, "bogus": 2})
+
+
+def test_spec_from_dict_names_missing_fields():
+    with pytest.raises(ValidationError) as exc:
+        GeneratorSpec.from_dict({"seed": 1, "n_val_classes": 2})
+    msg = str(exc.value)
+    for name in ("n_train_classes", "n_test_classes", "videos_per_class"):
+        assert name in msg
+    assert "n_val_classes" not in msg
+    assert "'seed'" not in msg
