@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import FsvcError, load_manifest, rebase_manifest, save_manifest
+from .core import FormatError, FsvcError, load_manifest, rebase_manifest, save_manifest
 from .harness import build_splits, evaluate, write_report
 from .protocols import (
     METHODS,
@@ -26,7 +26,11 @@ from .synthdata import (
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    spec = GeneratorSpec.from_dict(json.loads(Path(args.spec).read_text()))
+    try:
+        doc = json.loads(Path(args.spec).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"{args.spec}: not valid spec JSON: {exc}") from exc
+    spec = GeneratorSpec.from_dict(doc)
     out = Path(args.out)
     gen_benchmark(spec, out)
     print(out / MANIFEST_NAME)

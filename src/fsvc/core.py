@@ -313,6 +313,13 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
     for key in ("frame_count", "feature_dim", "classes", "videos"):
         if key not in doc:
             raise FormatError(f"{path}: missing manifest field {key!r}")
+    for key in ("frame_count", "feature_dim"):
+        # type(), not isinstance: JSON true and false load as bools
+        if type(doc[key]) is not int or doc[key] < 1:
+            raise FormatError(
+                f"{path}: manifest field {key!r} must be an integer >= 1, "
+                f"got {doc[key]!r}"
+            )
     manifest = Manifest(
         classes=tuple(
             (c, n) for c, n in _manifest_rows(path, doc, "classes", (int, str))
@@ -321,8 +328,8 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
             VideoEntry(*row)
             for row in _manifest_rows(path, doc, "videos", (str, int, str, str))
         ),
-        frame_count=int(doc["frame_count"]),
-        feature_dim=int(doc["feature_dim"]),
+        frame_count=doc["frame_count"],
+        feature_dim=doc["feature_dim"],
         root=path.parent,
     )
     if check_files:

@@ -131,18 +131,34 @@ _EPS = 1e-8
 
 
 def _adam_update(
-    p: np.ndarray, m: np.ndarray, v: np.ndarray, g: np.ndarray, t: int, lr: float
+    p: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    g: np.ndarray,
+    t: int,
+    lr: float,
+    buf: np.ndarray,
+    denom: np.ndarray,
 ) -> None:
     """Adam step ``t`` (counted from 1) with bias correction, in place on
-    ``p``, ``m`` and ``v``; ``g`` is left unchanged."""
+    ``p``, ``m`` and ``v``; ``g`` is left unchanged.
+
+    ``buf`` and ``denom`` are caller-owned scratch arrays of ``p``'s shape,
+    so a loop of steps allocates nothing.
+    """
     m *= _BETA1
-    m += (1.0 - _BETA1) * g
+    np.multiply(g, 1.0 - _BETA1, out=buf)
+    m += buf
     v *= _BETA2
-    v += (1.0 - _BETA2) * np.square(g)
-    denom = v / (1.0 - _BETA2**t)
+    np.square(g, out=buf)
+    buf *= 1.0 - _BETA2
+    v += buf
+    np.divide(v, 1.0 - _BETA2**t, out=denom)
     np.sqrt(denom, out=denom)
     denom += _EPS
-    p -= (lr / (1.0 - _BETA1**t)) * m / denom
+    np.multiply(m, lr / (1.0 - _BETA1**t), out=buf)
+    buf /= denom
+    p -= buf
 
 
 @dataclass
@@ -177,8 +193,9 @@ def adam_step(
             raise ShapeError(
                 f"param {name!r}: grad shape {g.shape} != param shape {p.shape}"
             )
-        out[name] = p.copy()
-        _adam_update(out[name], state.m[name], state.v[name], g, state.step, state.lr)
+        out[name] = p = p.copy()
+        scratch = (np.empty_like(p), np.empty_like(p))
+        _adam_update(p, state.m[name], state.v[name], g, state.step, state.lr, *scratch)
     return out
 
 
@@ -221,7 +238,10 @@ def train_head(
 ) -> LinearHead:
     """Full-batch Adam on mean cross-entropy for exactly ``iters`` steps.
 
-    Deterministic in (features, init): no randomness is drawn.
+    Deterministic in (features, init): no randomness is drawn.  The labels
+    become a one-hot matrix that is subtracted from the softmax, and every
+    step runs in buffers allocated once before the loop; the result is
+    bitwise equal to the plain loop kept in ``tests/scalar_oracle.py``.
     """
     if iters < 0:
         raise ValidationError("iters must be >= 0")
@@ -245,16 +265,21 @@ def train_head(
     # augmented parameter: bias folded in as a last column against a 1s input
     p = np.concatenate([init.weight, init.bias[:, None]], axis=1)
     x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
-    rows = np.arange(n)
-    m = np.zeros_like(p)
-    v = np.zeros_like(p)
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), y] = 1.0
+    # every step works in these buffers and allocates no arrays
+    m, v, dp, buf, denom = (np.zeros_like(p) for _ in range(5))
+    z = np.empty((n, k))
+    zred = np.empty((n, 1))
     for t in range(1, iters + 1):
-        logits = x1 @ p.T
-        logits -= logits.max(axis=1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
-        logits[rows, y] -= 1.0
-        dp = logits.T @ x1
+        np.matmul(x1, p.T, out=z)
+        np.maximum.reduce(z, axis=1, keepdims=True, out=zred)
+        z -= zred
+        np.exp(z, out=z)
+        np.add.reduce(z, axis=1, keepdims=True, out=zred)
+        z /= zred
+        z -= onehot
+        np.matmul(z.T, x1, out=dp)
         dp /= n
-        _adam_update(p, m, v, dp, t, lr)
+        _adam_update(p, m, v, dp, t, lr, buf, denom)
     return LinearHead(p[:, :-1], p[:, -1])

@@ -14,7 +14,9 @@ adaptation and prediction for all five methods:
   from normalized support logits and then fine-tuned.
 
 The embedding is a per-frame affine map so every gradient below is analytic
-and finite-difference checkable.
+and finite-difference checkable.  Each episode loss runs as a few stacked
+numpy operations over the whole episode; ``tests/scalar_oracle.py`` keeps
+their per-step loop forms as the reference they must match.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import hashlib
 import json
 import struct
 from dataclasses import asdict, dataclass, replace
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -33,7 +36,6 @@ from .align import (
     frame_distance_matrix,
     multi_saliency,
     otam_similarity,
-    saliency_attention,
     saliency_similarity,
 )
 from .core import (
@@ -279,14 +281,18 @@ def episode_arrays(episode, n_way: int) -> EpisodeArrays:
 # losses with hand-derived gradients
 
 
-def _cos_grads(
+def _cos_rows(
     u: np.ndarray, v: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    c = float(u @ v / (nu * nv))
-    du = v / (nu * nv) - c * u / (nu * nu)
-    dv = u / (nu * nv) - c * v / (nv * nv)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cosines of matching rows of two (..., C) stacks (broadcast against each
+    other) and their gradients with respect to ``u`` and ``v``."""
+    uu = np.add.reduce(u * u, axis=-1)
+    vv = np.add.reduce(v * v, axis=-1)
+    inv = 1.0 / np.sqrt(uu * vv)
+    c = np.add.reduce(u * v, axis=-1) * inv
+    inv = inv[..., None]
+    du = v * inv - u * (c / uu)[..., None]
+    dv = u * inv - v * (c / vv)[..., None]
     return c, du, dv
 
 
@@ -329,99 +335,78 @@ def classification_loss_and_grads(
 def metabaseline_loss_and_grads(
     emb: EmbeddingParams, ep: EpisodeArrays, tau: float
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Episode loss for cosine-to-prototype matching of pooled embeddings."""
+    """Episode loss for cosine-to-prototype matching of pooled embeddings.
+
+    One ``_cos_rows`` call scores the query against the stacked (n_way, C)
+    prototypes and gives every cosine gradient at once.  The embedding
+    gradient has one row per video: the query's, then each support's share
+    of its class prototype's, against the video's time-averaged input.
+    """
     q = pooled_embedding(emb, ep.query)  # (C,)
-    protos = [pooled_embedding(emb, frames).mean(axis=0) for frames in ep.support]
-    scores = np.empty(len(protos))
-    dcos_q = []
-    dcos_p = []
-    for c, p in enumerate(protos):
-        s, dq, dp = _cos_grads(q, p)
-        scores[c] = s
-        dcos_q.append(dq)
-        dcos_p.append(dp)
+    protos = np.stack(
+        [
+            np.add.reduce(pooled_embedding(emb, frames), axis=0) / len(frames)
+            for frames in ep.support
+        ]
+    )
+    k = np.array([len(frames) for frames in ep.support])
+    scores, dq, dp = _cos_rows(q, protos)
     loss, dscores = softmax_xent(tau * scores, ep.label)
-    g = tau * dscores
+    g = tau * dscores[:, None]
 
-    # one row per prototype (inputs averaged over shots and time), then the query
-    dE = [g[c] * dcos_p[c] for c in range(len(protos))]
-    dE.append(sum(g[c] * dcos_q[c] for c in range(len(protos))))
-    inputs = [frames.mean(axis=(0, 1)) for frames in ep.support]
-    inputs.append(ep.query.mean(axis=0))
-    return loss, _embedding_grads(np.stack(dE), np.stack(inputs))
-
-
-def _saliency_backward(
-    embedded: np.ndarray,
-    att: np.ndarray,
-    params: SaliencyParams,
-    ddesc: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop through descriptor = att.T @ E with att = softmax(scale E U.T)."""
-    dE = att @ ddesc  # (T, C)
-    datt = embedded @ ddesc.T  # (T, S)
-    dz = att * (datt - (att * datt).sum(axis=0, keepdims=True))
-    dq = params.scale * (dz.T @ embedded)  # (S, C)
-    dE = dE + params.scale * (dz @ params.queries)
-    return dE, dq
+    dE = np.vstack(
+        [np.add.reduce(g * dq, axis=0), np.repeat(g * dp / k[:, None], k, axis=0)]
+    )
+    frames = np.concatenate([ep.query[None], *ep.support])  # (V, T, C_in)
+    inputs = np.add.reduce(frames, axis=1) / frames.shape[1]
+    return loss, _embedding_grads(dE, inputs)
 
 
 def cmn_loss_and_grads(
     emb: EmbeddingParams, sal: SaliencyParams, ep: EpisodeArrays, tau: float
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Episode loss for multi-saliency descriptor matching."""
-    n_heads = sal.n_heads
-    q_emb = embed_frames(emb, ep.query)
-    q_att = saliency_attention(q_emb, sal)
-    q_desc = q_att.T @ q_emb  # (S, C)
+    """Episode loss for multi-saliency descriptor matching.
 
-    sup_emb: list[np.ndarray] = []  # flat per support video
-    sup_att: list[np.ndarray] = []
-    sup_frames: list[np.ndarray] = []
-    class_desc: list[np.ndarray] = []
-    class_members: list[list[int]] = []
-    for frames_c in ep.support:
-        members = []
-        descs = []
-        for frames in frames_c:
-            e = embed_frames(emb, frames)
-            a = saliency_attention(e, sal)
-            members.append(len(sup_emb))
-            sup_emb.append(e)
-            sup_att.append(a)
-            sup_frames.append(frames)
-            descs.append(a.T @ e)
-        class_desc.append(np.mean(descs, axis=0))
-        class_members.append(members)
+    The query and every support video are embedded one by one and stacked
+    into a (V, T, C) array, query first; attention, descriptors, the
+    per-class mean descriptors, the (n_way, S) head cosines and the backward
+    pass through the saliency softmax then run on the whole stack.
+    """
+    frames = np.concatenate([ep.query[None], *ep.support])  # (V, T, C_in)
+    embedded = np.stack([embed_frames(emb, f) for f in frames])  # (V, T, C)
+    v, t, c = embedded.shape
+    k = [len(f) for f in ep.support]
 
-    scores = np.empty(len(class_desc))
-    cos_grads = []
-    for c, desc in enumerate(class_desc):
-        per_head = [_cos_grads(q_desc[s], desc[s]) for s in range(n_heads)]
-        scores[c] = np.mean([ch[0] for ch in per_head])
-        cos_grads.append(per_head)
+    # attention over time, per video and head: softmax of scale * E U^T
+    att = embedded @ sal.queries.T  # (V, T, S)
+    att *= sal.scale
+    att -= np.maximum.reduce(att, axis=1, keepdims=True)
+    np.exp(att, out=att)
+    att /= np.add.reduce(att, axis=1, keepdims=True)
+    desc = att.transpose(0, 2, 1) @ embedded  # (V, S, C)
+    starts = list(accumulate(k[:-1], initial=1))  # each class's first video
+    shots = np.array(k)[:, None, None]
+    class_desc = np.add.reduceat(desc, starts, axis=0) / shots
+
+    cos, dq_cos, dc_cos = _cos_rows(desc[0], class_desc)  # (n_way, S)
+    scores = np.add.reduce(cos, axis=1) / sal.n_heads
     loss, dscores = softmax_xent(tau * scores, ep.label)
-    g = tau * dscores
+    coef = (tau * dscores / sal.n_heads)[:, None, None]
 
-    dq_desc = np.zeros_like(q_desc)
-    ddesc_class = [np.zeros_like(q_desc) for _ in class_desc]
-    for c in range(len(class_desc)):
-        for s in range(n_heads):
-            _, dqs, dps = cos_grads[c][s]
-            dq_desc[s] += (g[c] / n_heads) * dqs
-            ddesc_class[c][s] += (g[c] / n_heads) * dps
-
-    dE_q, dqueries = _saliency_backward(q_emb, q_att, sal, dq_desc)
-    dE = [dE_q]
-    for c, members in enumerate(class_members):
-        share = ddesc_class[c] / len(members)
-        for idx in members:
-            dE_s, dq_sal = _saliency_backward(sup_emb[idx], sup_att[idx], sal, share)
-            dE.append(dE_s)
-            dqueries += dq_sal
-    inputs = np.concatenate([ep.query, *sup_frames])
-    grads = _embedding_grads(np.concatenate(dE), inputs)
-    grads["sal_q"] = dqueries
+    # descriptor gradients per video: the query's, then each support's share
+    ddesc = np.concatenate(
+        [
+            np.add.reduce(coef * dq_cos, axis=0)[None],
+            np.repeat(coef * dc_cos / shots, k, axis=0),
+        ]
+    )  # (V, S, C)
+    dE = att @ ddesc  # (V, T, C)
+    datt = embedded @ ddesc.transpose(0, 2, 1)  # (V, T, S)
+    dz = att * (datt - np.add.reduce(att * datt, axis=1, keepdims=True))
+    dz = dz.reshape(v * t, -1)
+    dE = dE.reshape(v * t, c) + sal.scale * (dz @ sal.queries)
+    grads = _embedding_grads(dE, frames.reshape(v * t, -1))
+    grads["sal_q"] = sal.scale * (dz.T @ embedded.reshape(v * t, c))
     return loss, grads
 
 
@@ -438,6 +423,13 @@ def otam_loss_and_grads(
     ``paths`` is None they are recomputed from the current embedding, and the
     used paths are returned so callers can freeze them (finite-difference
     checks perturb parameters under fixed paths).
+
+    Every path step of the episode is gathered into two (L, C) stacks, query
+    frames and support frames, whose cosines and gradients come from one
+    ``_cos_rows`` call; ``np.bincount`` sums the distances per support in
+    path order.  The embedding gradient pairs each step's cosine gradients
+    with that step's input frames, which equals scattering them back onto
+    the frames first.
     """
     q_emb = embed_frames(emb, ep.query)
     sup_emb = [embed_frames(emb, frames_c) for frames_c in ep.support]
@@ -448,46 +440,35 @@ def otam_loss_and_grads(
             for emb_c in sup_emb
         ]
 
-    n_way = len(ep.support)
-    scores = np.zeros(n_way)
-    cos_cache: list[list[list[tuple]]] = []
-    for c in range(n_way):
-        sims = []
-        class_cache = []
-        for i, e in enumerate(sup_emb[c]):
-            path = paths[c][i]
-            steps = []
-            total = 0.0
-            for a, b in path:
-                cval, du, dv = _cos_grads(q_emb[a], e[b])
-                total += 1.0 - cval
-                steps.append((a, b, du, dv))
-            sim = -total / len(path) if normalize else -total
-            sims.append(sim)
-            class_cache.append(steps)
-        scores[c] = np.mean(sims)
-        cos_cache.append(class_cache)
+    # every frame of the episode, query first, as rows of one embedded stack
+    # and one input stack; a path step pairs query row a with support row b
+    t = len(ep.query)
+    embedded = np.concatenate([q_emb[None], *sup_emb]).reshape(-1, q_emb.shape[1])
+    frames = np.concatenate([ep.query[None], *ep.support])
+    frames = frames.reshape(-1, frames.shape[-1])
+    flat = [path for paths_c in paths for path in paths_c]
+    k = np.array([len(paths_c) for paths_c in paths])
+    lens = np.array([len(path) for path in flat])
+    seg = np.repeat(np.arange(len(flat)), lens)  # support of each step
+    rows = np.fromiter(chain.from_iterable(chain.from_iterable(flat)), np.intp)
+    rows = rows.reshape(-1, 2).T.copy()  # (2, L): query rows, support rows
+    rows[1] += (seg + 1) * t
+
+    cos, dq, ds = _cos_rows(embedded[rows[0]], embedded[rows[1]])
+    costs = np.bincount(seg, weights=1.0 - cos)  # per support, in path order
+    if normalize:
+        costs /= lens
+    cls = np.repeat(np.arange(len(k)), k)  # class of each support
+    scores = -np.bincount(cls, weights=costs) / k
 
     loss, dscores = softmax_xent(tau * scores, ep.label)
-    g = tau * dscores
-
-    dq_emb = np.zeros_like(q_emb)
-    dE = [dq_emb]
-    inputs = [ep.query]
-    for c in range(n_way):
-        k_c = len(sup_emb[c])
-        for i, steps in enumerate(cos_cache[c]):
-            # d loss / d cos at each path step
-            coef = g[c] / k_c
-            if normalize:
-                coef /= len(paths[c][i])
-            dE_s = np.zeros_like(sup_emb[c][i])
-            for a, b, du, dv in steps:
-                dq_emb[a] += coef * du
-                dE_s[b] += coef * dv
-            dE.append(dE_s)
-            inputs.append(ep.support[c][i])
-    return loss, _embedding_grads(np.concatenate(dE), np.concatenate(inputs)), paths
+    # d loss / d cos at each path step
+    coef = (tau * dscores / k)[cls]
+    if normalize:
+        coef /= lens
+    coef = coef[seg, None]
+    dE = np.concatenate([coef * dq, coef * ds])
+    return loss, _embedding_grads(dE, frames[rows.ravel()]), paths
 
 
 # ---------------------------------------------------------------------------

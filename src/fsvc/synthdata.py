@@ -9,6 +9,7 @@ at desk scale with a known ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -88,6 +89,16 @@ class GeneratorSpec:
         ]
         if missing:
             raise ValidationError(f"missing generator fields: {missing}")
+        for f in fields(cls):
+            val = doc.get(f.name, f.default)
+            kinds = (int,) if f.type == "int" else (int, float)
+            # bool is an int subclass, but true/false is never a count or a knob
+            bad = isinstance(val, bool) or not isinstance(val, kinds)
+            if bad or (isinstance(val, float) and not math.isfinite(val)):
+                kind = "an integer" if f.type == "int" else "a finite number"
+                raise ValidationError(
+                    f"generator field {f.name!r} must be {kind}, got {val!r}"
+                )
         return cls(**doc)
 
 

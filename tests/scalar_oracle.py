@@ -4,7 +4,9 @@ Each function here is a verbatim copy of the straightforward numpy form of a
 kernel in ``fsvc``.  The package's versions are tuned for small arrays, where
 numpy's per-call overhead dominates, or share code with other callers; the
 tests in ``test_kernel_oracle.py`` require them to return bitwise-equal
-results to these copies.  Only data types, error classes and
+results to these copies.  The episode losses at the end are the loop forms
+that the package now computes with stacked arrays; ``test_loss_oracle.py``
+compares those to within rounding.  Only data types, error classes and
 ``as_generator`` are imported from ``fsvc``, so later edits to the package
 cannot move the oracle.
 """
@@ -21,6 +23,7 @@ from fsvc.core import (
     ValidationError,
     as_generator,
 )
+from fsvc.align import SaliencyParams
 from fsvc.heads import LinearHead
 from fsvc.protocols import EmbeddingParams, EpisodeArrays
 
@@ -174,3 +177,197 @@ def train_head(
         denom += eps
         p -= (lr / (1.0 - beta1**t)) * m / denom
     return LinearHead(p[:, :-1], p[:, -1])
+
+
+# ---------------------------------------------------------------------------
+# episode losses: the per-path-step and per-head loops around _cos_grads
+
+
+def softmax_xent(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 1:
+        raise ShapeError(f"logits must be a vector, got shape {z.shape}")
+    k = z.shape[0]
+    if not 0 <= label < k:
+        raise ValidationError(f"label {label} out of range for {k} classes")
+    shifted = z - z.max()
+    log_norm = np.log(np.sum(np.exp(shifted)))
+    loss = float(log_norm - shifted[label])
+    dlogits = np.exp(shifted - log_norm)
+    dlogits[label] -= 1.0
+    return loss, dlogits
+
+
+def saliency_attention(seq: np.ndarray, params: SaliencyParams) -> np.ndarray:
+    seq = np.asarray(seq, dtype=np.float64)
+    logits = (seq @ params.queries.T) * params.scale  # (T, S)
+    logits = logits - logits.max(axis=0, keepdims=True)
+    w = np.exp(logits)
+    return w / w.sum(axis=0, keepdims=True)
+
+
+def _cos_grads(
+    u: np.ndarray, v: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    c = float(u @ v / (nu * nv))
+    du = v / (nu * nv) - c * u / (nu * nu)
+    dv = u / (nu * nv) - c * v / (nv * nv)
+    return c, du, dv
+
+
+def _embedding_grads(dE: np.ndarray, inputs: np.ndarray) -> dict[str, np.ndarray]:
+    return {"embed_w": dE.T @ inputs, "embed_b": dE.sum(axis=0)}
+
+
+def metabaseline_loss_and_grads(
+    emb: EmbeddingParams, ep: EpisodeArrays, tau: float
+) -> tuple[float, dict[str, np.ndarray]]:
+    q = pooled_embedding(emb, ep.query)  # (C,)
+    protos = [pooled_embedding(emb, frames).mean(axis=0) for frames in ep.support]
+    scores = np.empty(len(protos))
+    dcos_q = []
+    dcos_p = []
+    for c, p in enumerate(protos):
+        s, dq, dp = _cos_grads(q, p)
+        scores[c] = s
+        dcos_q.append(dq)
+        dcos_p.append(dp)
+    loss, dscores = softmax_xent(tau * scores, ep.label)
+    g = tau * dscores
+
+    dE = [g[c] * dcos_p[c] for c in range(len(protos))]
+    dE.append(sum(g[c] * dcos_q[c] for c in range(len(protos))))
+    inputs = [frames.mean(axis=(0, 1)) for frames in ep.support]
+    inputs.append(ep.query.mean(axis=0))
+    return loss, _embedding_grads(np.stack(dE), np.stack(inputs))
+
+
+def _saliency_backward(
+    embedded: np.ndarray,
+    att: np.ndarray,
+    params: SaliencyParams,
+    ddesc: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    dE = att @ ddesc  # (T, C)
+    datt = embedded @ ddesc.T  # (T, S)
+    dz = att * (datt - (att * datt).sum(axis=0, keepdims=True))
+    dq = params.scale * (dz.T @ embedded)  # (S, C)
+    dE = dE + params.scale * (dz @ params.queries)
+    return dE, dq
+
+
+def cmn_loss_and_grads(
+    emb: EmbeddingParams, sal: SaliencyParams, ep: EpisodeArrays, tau: float
+) -> tuple[float, dict[str, np.ndarray]]:
+    n_heads = sal.n_heads
+    q_emb = embed_frames(emb, ep.query)
+    q_att = saliency_attention(q_emb, sal)
+    q_desc = q_att.T @ q_emb  # (S, C)
+
+    sup_emb: list[np.ndarray] = []
+    sup_att: list[np.ndarray] = []
+    sup_frames: list[np.ndarray] = []
+    class_desc: list[np.ndarray] = []
+    class_members: list[list[int]] = []
+    for frames_c in ep.support:
+        members = []
+        descs = []
+        for frames in frames_c:
+            e = embed_frames(emb, frames)
+            a = saliency_attention(e, sal)
+            members.append(len(sup_emb))
+            sup_emb.append(e)
+            sup_att.append(a)
+            sup_frames.append(frames)
+            descs.append(a.T @ e)
+        class_desc.append(np.mean(descs, axis=0))
+        class_members.append(members)
+
+    scores = np.empty(len(class_desc))
+    cos_grads = []
+    for c, desc in enumerate(class_desc):
+        per_head = [_cos_grads(q_desc[s], desc[s]) for s in range(n_heads)]
+        scores[c] = np.mean([ch[0] for ch in per_head])
+        cos_grads.append(per_head)
+    loss, dscores = softmax_xent(tau * scores, ep.label)
+    g = tau * dscores
+
+    dq_desc = np.zeros_like(q_desc)
+    ddesc_class = [np.zeros_like(q_desc) for _ in class_desc]
+    for c in range(len(class_desc)):
+        for s in range(n_heads):
+            _, dqs, dps = cos_grads[c][s]
+            dq_desc[s] += (g[c] / n_heads) * dqs
+            ddesc_class[c][s] += (g[c] / n_heads) * dps
+
+    dE_q, dqueries = _saliency_backward(q_emb, q_att, sal, dq_desc)
+    dE = [dE_q]
+    for c, members in enumerate(class_members):
+        share = ddesc_class[c] / len(members)
+        for idx in members:
+            dE_s, dq_sal = _saliency_backward(sup_emb[idx], sup_att[idx], sal, share)
+            dE.append(dE_s)
+            dqueries += dq_sal
+    inputs = np.concatenate([ep.query, *sup_frames])
+    grads = _embedding_grads(np.concatenate(dE), inputs)
+    grads["sal_q"] = dqueries
+    return loss, grads
+
+
+def otam_loss_and_grads(
+    emb: EmbeddingParams,
+    ep: EpisodeArrays,
+    tau: float,
+    normalize: bool = False,
+    paths: list[list[list[tuple[int, int]]]] | None = None,
+) -> tuple[float, dict[str, np.ndarray], list[list[list[tuple[int, int]]]]]:
+    q_emb = embed_frames(emb, ep.query)
+    sup_emb = [embed_frames(emb, frames_c) for frames_c in ep.support]
+
+    if paths is None:
+        paths = [
+            [dtw(frame_distance_matrix(q_emb, e))[1] for e in emb_c]
+            for emb_c in sup_emb
+        ]
+
+    n_way = len(ep.support)
+    scores = np.zeros(n_way)
+    cos_cache: list[list[list[tuple]]] = []
+    for c in range(n_way):
+        sims = []
+        class_cache = []
+        for i, e in enumerate(sup_emb[c]):
+            path = paths[c][i]
+            steps = []
+            total = 0.0
+            for a, b in path:
+                cval, du, dv = _cos_grads(q_emb[a], e[b])
+                total += 1.0 - cval
+                steps.append((a, b, du, dv))
+            sim = -total / len(path) if normalize else -total
+            sims.append(sim)
+            class_cache.append(steps)
+        scores[c] = np.mean(sims)
+        cos_cache.append(class_cache)
+
+    loss, dscores = softmax_xent(tau * scores, ep.label)
+    g = tau * dscores
+
+    dq_emb = np.zeros_like(q_emb)
+    dE = [dq_emb]
+    inputs = [ep.query]
+    for c in range(n_way):
+        k_c = len(sup_emb[c])
+        for i, steps in enumerate(cos_cache[c]):
+            coef = g[c] / k_c
+            if normalize:
+                coef /= len(paths[c][i])
+            dE_s = np.zeros_like(sup_emb[c][i])
+            for a, b, du, dv in steps:
+                dq_emb[a] += coef * du
+                dE_s[b] += coef * dv
+            dE.append(dE_s)
+            inputs.append(ep.support[c][i])
+    return loss, _embedding_grads(np.concatenate(dE), np.concatenate(inputs)), paths

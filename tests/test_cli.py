@@ -209,6 +209,43 @@ def test_gen_spec_with_missing_fields_is_clean_error(tmp_path):
     assert "videos_per_class" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            json.dumps({**SPEC, "seed": "x"}),
+            "error: generator field 'seed' must be an integer",
+        ),
+        (json.dumps(SPEC)[:40], "error: "),  # truncated file
+    ],
+)
+def test_gen_bad_spec_is_clean_error(tmp_path, text, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    proc = _run_cli("gen", "--spec", str(spec), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("frame_count", "eight"), ("feature_dim", 8.7)])
+def test_train_bad_manifest_header_is_clean_error(bench_dir, tmp_path, key, value):
+    doc = json.loads((bench_dir / "bench" / "manifest.json").read_text())
+    doc[key] = value
+    manifest = bench_dir / "bench" / f"bad_{key}.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "model.fsvm"
+    proc = _run_cli(
+        "train", "--method", "baseline", "--manifest", str(manifest), "--out", str(out)
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert f"'{key}' must be an integer >= 1" in proc.stderr
+    assert not out.exists()
+
+
 def test_unknown_method_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--method", "svm", "--manifest", "x", "--out", "y"])

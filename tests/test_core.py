@@ -266,6 +266,34 @@ def test_malformed_manifest_row_is_format_error(tmp_path, key, row, index):
         load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("frame_count", "eight"),
+        ("feature_dim", 8.7),
+        ("feature_dim", 3.0),
+        ("frame_count", True),
+        ("frame_count", 0),
+        ("feature_dim", None),
+    ],
+)
+def test_malformed_manifest_header_is_format_error(tmp_path, key, value):
+    import json
+
+    _write_feature(tmp_path, "a")
+    doc = {
+        "frame_count": 2,
+        "feature_dim": 3,
+        "classes": [[0, "c0"]],
+        "videos": [["a", 0, "a.fsvf", "train"]],
+    }
+    doc[key] = value
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=rf"'{key}' must be an integer >= 1"):
+        load_manifest(path)
+
+
 # ---------------------------------------------------------------------------
 # rng streams
 

@@ -219,7 +219,8 @@ def test_adam_step_matches_shared_kernel_bitwise(seed, shape, steps, lr):
         params = heads.adam_step(state, prev, grads)
         assert state.step == t
         for k, g in grads.items():
-            heads._adam_update(ref[k], *moments[k], g, t, lr)
+            scratch = (np.empty_like(g), np.empty_like(g))
+            heads._adam_update(ref[k], *moments[k], g, t, lr, *scratch)
             assert same_bits(params[k], ref[k])
             # adam_step returns new arrays and leaves its inputs alone
             assert same_bits(prev[k], saved[k][0]) and same_bits(g, saved[k][1])

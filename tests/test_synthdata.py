@@ -223,3 +223,41 @@ def test_spec_from_dict_names_missing_fields():
         assert name in msg
     assert "n_val_classes" not in msg
     assert "'seed'" not in msg
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", "x"),
+        ("seed", True),
+        ("videos_per_class", 2.0),
+        ("frame_count", None),
+        ("noise_sigma", "0.1"),
+        ("warp_strength", False),
+        ("feature_corr", float("nan")),
+    ],
+)
+def test_spec_from_dict_checks_field_types(field, value):
+    doc = {
+        "n_train_classes": 2,
+        "n_val_classes": 2,
+        "n_test_classes": 2,
+        "videos_per_class": 3,
+        field: value,
+    }
+    with pytest.raises(ValidationError, match=rf"generator field '{field}' must be"):
+        GeneratorSpec.from_dict(doc)
+
+
+def test_spec_from_dict_accepts_ints_for_float_fields():
+    spec = GeneratorSpec.from_dict(
+        {
+            "n_train_classes": 2,
+            "n_val_classes": 2,
+            "n_test_classes": 2,
+            "videos_per_class": 3,
+            "noise_sigma": 0,
+            "warp_strength": 1,
+        }
+    )
+    assert spec.noise_sigma == 0 and spec.warp_strength == 1
