@@ -221,12 +221,16 @@ class SaliencyParams:
 
 
 def saliency_attention(seq: np.ndarray, params: SaliencyParams) -> np.ndarray:
-    """Per-head attention weights over time, (T, S); each column sums to 1."""
+    """Per-head attention weights over time, (..., T, S); each column sums to 1.
+
+    ``seq`` is one (T, C) video or a (V, T, C) stack of them; the softmax runs
+    over the time axis of each.
+    """
     seq = np.asarray(seq, dtype=np.float64)
-    logits = (seq @ params.queries.T) * params.scale  # (T, S)
-    logits = logits - logits.max(axis=0, keepdims=True)
+    logits = (seq @ params.queries.T) * params.scale  # (..., T, S)
+    logits = logits - logits.max(axis=-2, keepdims=True)
     w = np.exp(logits)
-    return w / w.sum(axis=0, keepdims=True)
+    return w / w.sum(axis=-2, keepdims=True)
 
 
 def multi_saliency(seq: np.ndarray, params: SaliencyParams) -> np.ndarray:

@@ -315,10 +315,9 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
             raise FormatError(f"{path}: missing manifest field {key!r}")
     for key in ("frame_count", "feature_dim"):
         # type(), not isinstance: JSON true and false load as bools
-        if type(doc[key]) is not int or doc[key] < 1:
+        if type(doc[key]) is not int:
             raise FormatError(
-                f"{path}: manifest field {key!r} must be an integer >= 1, "
-                f"got {doc[key]!r}"
+                f"{path}: manifest field {key!r} must be an integer, got {doc[key]!r}"
             )
     manifest = Manifest(
         classes=tuple(

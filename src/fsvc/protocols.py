@@ -36,6 +36,7 @@ from .align import (
     frame_distance_matrix,
     multi_saliency,
     otam_similarity,
+    saliency_attention,
     saliency_similarity,
 )
 from .core import (
@@ -377,12 +378,7 @@ def cmn_loss_and_grads(
     v, t, c = embedded.shape
     k = [len(f) for f in ep.support]
 
-    # attention over time, per video and head: softmax of scale * E U^T
-    att = embedded @ sal.queries.T  # (V, T, S)
-    att *= sal.scale
-    att -= np.maximum.reduce(att, axis=1, keepdims=True)
-    np.exp(att, out=att)
-    att /= np.add.reduce(att, axis=1, keepdims=True)
+    att = saliency_attention(embedded, sal)  # (V, T, S)
     desc = att.transpose(0, 2, 1) @ embedded  # (V, S, C)
     starts = list(accumulate(k[:-1], initial=1))  # each class's first video
     shots = np.array(k)[:, None, None]

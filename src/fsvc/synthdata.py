@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -89,15 +90,17 @@ class GeneratorSpec:
         ]
         if missing:
             raise ValidationError(f"missing generator fields: {missing}")
-        for f in fields(cls):
-            val = doc.get(f.name, f.default)
-            kinds = (int,) if f.type == "int" else (int, float)
+        for name, kind in get_type_hints(cls).items():
+            if name not in doc:
+                continue
+            val = doc[name]
+            kinds = (int,) if kind is int else (int, float)
             # bool is an int subclass, but true/false is never a count or a knob
             bad = isinstance(val, bool) or not isinstance(val, kinds)
             if bad or (isinstance(val, float) and not math.isfinite(val)):
-                kind = "an integer" if f.type == "int" else "a finite number"
+                what = "an integer" if kind is int else "a finite number"
                 raise ValidationError(
-                    f"generator field {f.name!r} must be {kind}, got {val!r}"
+                    f"generator field {name!r} must be {what}, got {val!r}"
                 )
         return cls(**doc)
 

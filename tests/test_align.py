@@ -245,6 +245,14 @@ def test_saliency_attention_rows_sum_to_one():
         assert np.all(att >= 0)
 
 
+def test_saliency_attention_on_a_stack_matches_each_video():
+    gen = RngStream(19, 0).generator()
+    stack = gen.standard_normal((3, 7, 6))
+    params = SaliencyParams(gen.standard_normal((4, 6)), 1.0 / np.sqrt(6))
+    att = saliency_attention(stack, params)
+    for v in range(len(stack)):
+        assert np.array_equal(att[v], saliency_attention(stack[v], params))
+
 def test_validate_path_rejects_bad_paths():
     with pytest.raises(ValidationError):
         validate_path([(0, 0), (2, 2)], (3, 3))

@@ -273,11 +273,23 @@ def test_malformed_manifest_row_is_format_error(tmp_path, key, row, index):
         ("feature_dim", 8.7),
         ("feature_dim", 3.0),
         ("frame_count", True),
-        ("frame_count", 0),
         ("feature_dim", None),
     ],
 )
 def test_malformed_manifest_header_is_format_error(tmp_path, key, value):
+    path = _header_manifest(tmp_path, key, value)
+    with pytest.raises(FormatError, match=rf"'{key}' must be an integer"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("key", ["frame_count", "feature_dim"])
+def test_manifest_header_below_one_is_validation_error(tmp_path, key):
+    path = _header_manifest(tmp_path, key, 0)
+    with pytest.raises(ValidationError, match="must be >= 1"):
+        load_manifest(path)
+
+
+def _header_manifest(tmp_path, key, value):
     import json
 
     _write_feature(tmp_path, "a")
@@ -290,8 +302,7 @@ def test_malformed_manifest_header_is_format_error(tmp_path, key, value):
     doc[key] = value
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(FormatError, match=rf"'{key}' must be an integer >= 1"):
-        load_manifest(path)
+    return path
 
 
 # ---------------------------------------------------------------------------
