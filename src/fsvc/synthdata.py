@@ -10,6 +10,7 @@ at desk scale with a known ground truth.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -24,7 +25,7 @@ from .core import (
     VideoEntry,
     as_generator,
     save_manifest,
-    write_feature_file,
+    write_feature_files,
 )
 
 # stream_id offsets; keeps every prototype / video on its own substream
@@ -147,25 +148,60 @@ def gen_class_prototype(
     return (traj - mean) / std
 
 
-def _warp_positions(
-    gen: np.random.Generator, t: int, length: int, strength: float
-) -> np.ndarray:
-    """Monotone frame positions in [0, length-1].
+def _warp_rows(u: np.ndarray, length: int, strength: float) -> np.ndarray:
+    """Monotone frame positions in [0, length-1], one row per row of ``u``.
 
-    Blends the uniform grid with a sorted-uniform random warp; the blend
-    weight is the warp strength, so 0 gives exactly the uniform grid.  For
-    strength < 1 positions are repaired to be strictly increasing (always
-    possible since length >= t).
+    ``u`` holds each video's T uniform draws.  Each row blends the uniform
+    grid with its sorted-uniform random warp; the blend weight is the warp
+    strength, so 0 gives exactly the uniform grid.  For strength < 1
+    positions are repaired to be strictly increasing (always possible since
+    length >= T).  Every step is row-wise, so a row does not depend on the
+    rows next to it.
     """
+    t = u.shape[1]
     uniform = np.linspace(0.0, length - 1, t)
-    random_pos = np.sort(gen.random(t)) * (length - 1)
+    random_pos = np.sort(u, axis=1) * (length - 1)
     blended = (1.0 - strength) * uniform + strength * random_pos
     pos = np.rint(blended).astype(np.int64)
     if strength < 1.0:
         idx = np.arange(t)
-        pos = np.maximum.accumulate(pos - idx) + idx  # gaps >= 1
+        pos = np.maximum.accumulate(pos - idx, axis=1) + idx  # gaps >= 1
         pos = np.minimum(pos, length - t + idx)  # stay within range
     return pos
+
+
+def _warp_positions(
+    gen: np.random.Generator, t: int, length: int, strength: float
+) -> np.ndarray:
+    """The frame positions of one video: ``_warp_rows`` on T draws of ``gen``."""
+    return _warp_rows(gen.random((1, t)), length, strength)[0]
+
+
+def _video_block(
+    proto: np.ndarray, spec: GeneratorSpec, gens: list[np.random.Generator]
+) -> np.ndarray:
+    """(V, T, C_in) frames of one video per generator, all from ``proto``.
+
+    Each generator draws its video's T warp uniforms and then, if there is
+    noise, its (T, C_in) standard normals; everything after the draws runs
+    once on the whole block.
+    """
+    if proto.shape[0] != spec.prototype_len:
+        raise ValidationError(
+            f"prototype has {proto.shape[0]} rows, spec says {spec.prototype_len}"
+        )
+    t = spec.frame_count
+    u = np.empty((len(gens), t))
+    noise = np.empty((len(gens), t, proto.shape[1]))
+    for gen, u_row, noise_rows in zip(gens, u, noise):
+        gen.random(out=u_row)
+        if spec.noise_sigma > 0.0:
+            gen.standard_normal(out=noise_rows)
+    frames = proto[_warp_rows(u, spec.prototype_len, spec.warp_strength)]
+    if spec.noise_sigma > 0.0:
+        noise *= spec.noise_sigma
+        frames += noise
+    return frames
 
 
 def gen_video(
@@ -176,15 +212,7 @@ def gen_video(
     class_id: int = 0,
 ) -> FeatureSequence:
     """Sample one video from a class prototype: warped positions plus noise."""
-    if proto.shape[0] != spec.prototype_len:
-        raise ValidationError(
-            f"prototype has {proto.shape[0]} rows, spec says {spec.prototype_len}"
-        )
-    gen = as_generator(rng)
-    pos = _warp_positions(gen, spec.frame_count, spec.prototype_len, spec.warp_strength)
-    frames = proto[pos].copy()
-    if spec.noise_sigma > 0.0:
-        frames += spec.noise_sigma * gen.standard_normal(frames.shape)
+    frames = _video_block(proto, spec, [as_generator(rng)])[0]
     return FeatureSequence(video_id=video_id, class_id=class_id, frames=frames)
 
 
@@ -197,29 +225,24 @@ def _write_class_videos(
     out_dir: Path,
     video_counter: int,
 ) -> tuple[list[VideoEntry], int]:
+    """Generate and write one class as a block; videos take the next
+    ``videos_per_class`` video streams from ``video_counter``."""
     proto = gen_class_prototype(
         RngStream(spec.seed, STREAM_PROTO + class_id),
         spec.feature_dim,
         spec.prototype_len,
         corr_width=spec.feature_corr,
     )
-    class_dir = out_dir / subdir / class_name
-    class_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for j in range(spec.videos_per_class):
-        vid = f"{class_name}_v{j:03d}"
-        seq = gen_video(
-            proto,
-            spec,
-            RngStream(spec.seed, STREAM_VIDEO + video_counter),
-            video_id=vid,
-            class_id=class_id,
-        )
-        rel = f"{subdir}/{class_name}/{vid}.fsvf"
-        write_feature_file(seq, out_dir / rel)
-        entries.append(VideoEntry(vid, class_id, rel, split))
-        video_counter += 1
-    return entries, video_counter
+    os.makedirs(os.path.join(out_dir, subdir, class_name), exist_ok=True)
+    counters = range(video_counter, video_counter + spec.videos_per_class)
+    gens = [RngStream(spec.seed, STREAM_VIDEO + c).generator() for c in counters]
+    frames = _video_block(proto, spec, gens)
+    entries = [
+        VideoEntry(vid, class_id, f"{subdir}/{class_name}/{vid}.fsvf", split)
+        for vid in (f"{class_name}_v{j:03d}" for j in range(spec.videos_per_class))
+    ]
+    write_feature_files(frames, [os.path.join(out_dir, e.file_path) for e in entries])
+    return entries, counters.stop
 
 
 def gen_benchmark(spec: GeneratorSpec, out_dir: str | Path) -> Manifest:

@@ -6,9 +6,11 @@ numpy's per-call overhead dominates, or share code with other callers; the
 tests in ``test_kernel_oracle.py`` require them to return bitwise-equal
 results to these copies.  The episode losses at the end are the loop forms
 that the package now computes with stacked arrays; ``test_loss_oracle.py``
-compares those to within rounding.  Only data types, error classes and
-``as_generator`` are imported from ``fsvc``, so later edits to the package
-cannot move the oracle.
+compares those to within rounding.  The one-video generator and the feature
+file reader at the end are the per-video forms that the package now runs on
+whole class blocks; ``test_synthdata.py`` requires bitwise-equal results.
+Only data types, error classes and ``as_generator`` are imported from
+``fsvc``, so later edits to the package cannot move the oracle.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from fsvc.core import (
     CoverageError,
     DegenerateInputError,
+    FeatureSequence,
     RngStream,
     ShapeError,
     ValidationError,
@@ -371,3 +374,49 @@ def otam_loss_and_grads(
             dE.append(dE_s)
             inputs.append(ep.support[c][i])
     return loss, _embedding_grads(np.concatenate(dE), np.concatenate(inputs)), paths
+
+
+# ---------------------------------------------------------------------------
+# one synthetic video and one feature file, a call per video
+
+
+def _warp_positions(
+    gen: np.random.Generator, t: int, length: int, strength: float
+) -> np.ndarray:
+    uniform = np.linspace(0.0, length - 1, t)
+    random_pos = np.sort(gen.random(t)) * (length - 1)
+    blended = (1.0 - strength) * uniform + strength * random_pos
+    pos = np.rint(blended).astype(np.int64)
+    if strength < 1.0:
+        idx = np.arange(t)
+        pos = np.maximum.accumulate(pos - idx) + idx  # gaps >= 1
+        pos = np.minimum(pos, length - t + idx)  # stay within range
+    return pos
+
+
+def gen_video(
+    proto: np.ndarray,
+    spec,
+    rng,
+    video_id: str = "",
+    class_id: int = 0,
+) -> FeatureSequence:
+    if proto.shape[0] != spec.prototype_len:
+        raise ValidationError(
+            f"prototype has {proto.shape[0]} rows, spec says {spec.prototype_len}"
+        )
+    gen = as_generator(rng)
+    pos = _warp_positions(gen, spec.frame_count, spec.prototype_len, spec.warp_strength)
+    frames = proto[pos].copy()
+    if spec.noise_sigma > 0.0:
+        frames += spec.noise_sigma * gen.standard_normal(frames.shape)
+    return FeatureSequence(video_id=video_id, class_id=class_id, frames=frames)
+
+
+def read_feature_frames(path) -> np.ndarray:
+    """The float64 frames of a well-formed FSVF file (no layout checks)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    t, c_in = np.frombuffer(data, dtype="<u4", count=2, offset=8)
+    frames = np.frombuffer(data[16:], dtype="<f4").reshape(int(t), int(c_in))
+    return np.array(frames, dtype=np.float64)

@@ -264,10 +264,10 @@ def test_missing_file_is_clean_error(tmp_path, capsys):
          "--manifest", str(tmp_path / "none.json"),
          "--report", str(tmp_path / "r.json")]
     )
-    assert rc != 0 or True  # either library error (1) or OSError propagation
-    # library errors exit 1 with a message
-    captured = capsys.readouterr()
-    assert rc == 1 or captured.err
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_selftest_subcommand_exits_zero():

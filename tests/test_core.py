@@ -14,6 +14,7 @@ from fsvc.core import (
     LengthError,
     Manifest,
     RngStream,
+    ShapeError,
     ValidationError,
     VideoEntry,
     load_manifest,
@@ -21,6 +22,7 @@ from fsvc.core import (
     read_feature_file,
     save_manifest,
     write_feature_file,
+    write_feature_files,
 )
 
 
@@ -62,6 +64,28 @@ def test_round_trip_single_precision_payload(tmp_path):
         assert np.array_equal(
             back.frames.astype(np.float32), frames.astype(np.float32)
         )
+
+
+def test_rewrite_over_longer_file_leaves_no_tail(tmp_path):
+    seq = FeatureSequence("v", 0, np.ones((2, 3)))
+    path = tmp_path / "v.fsvf"
+    path.write_bytes(b"x" * 1000)
+    write_feature_file(seq, path)
+    write_feature_file(seq, tmp_path / "fresh.fsvf")
+    assert path.read_bytes() == (tmp_path / "fresh.fsvf").read_bytes()
+
+
+def test_block_writer_checks_block_before_writing(tmp_path):
+    path = tmp_path / "a.fsvf"
+    with pytest.raises(ShapeError):
+        write_feature_files(np.zeros((2, 1, 1)), [path])
+    with pytest.raises(ShapeError):
+        write_feature_files(np.zeros((1, 1)), [path])
+    bad = np.zeros((2, 1, 1))
+    bad[1, 0, 0] = np.inf
+    with pytest.raises(ValidationError):
+        write_feature_files(bad, [path, tmp_path / "b.fsvf"])
+    assert not path.exists()
 
 
 def test_read_frames_are_bitwise_float32_widened(tmp_path):

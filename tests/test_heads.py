@@ -235,6 +235,23 @@ def test_train_head_missing_class_rejected():
         train_head([], init, 10, 1e-3)
 
 
+@pytest.mark.parametrize("bad", [-1, 3, 7])
+def test_train_head_label_out_of_range_rejected(bad):
+    init = init_head(RngStream(11, 1), 3, 4)
+    feats = [(np.ones(4), c) for c in range(3)] + [(np.ones(4), bad)]
+    with pytest.raises(ValidationError, match=f"class index {bad} out of range"):
+        train_head(feats, init, 10, 1e-3)
+
+
+@pytest.mark.parametrize("second", [np.ones(5), np.ones((1, 4))])
+def test_train_head_ragged_features_rejected(second):
+    init = init_head(RngStream(11, 2), 2, 4)
+    with pytest.raises(ShapeError):
+        train_head([(np.ones(4), 0), (second, 1)], init, 10, 1e-3)
+    with pytest.raises(ShapeError):
+        train_head([(second, 0), (second, 1)], init, 10, 1e-3)
+
+
 def test_train_head_loss_decreases_over_seeds():
     from fsvc.heads import softmax_xent_batch
 
