@@ -16,6 +16,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -94,6 +95,34 @@ class RngStream:
             [self.seed % (1 << 64), self.stream_id % (1 << 64)], dtype=np.uint64
         )
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def _stream_generators(
+    seed: int, stream_ids: Iterable[int]
+) -> Iterator[np.random.Generator]:
+    """``RngStream(seed, s).generator()`` for each ``s`` in turn.
+
+    One Philox is re-keyed in place for every stream, so each generator
+    yielded is the same object and is only valid until the next one is
+    drawn.  A new ``Philox(key=...)`` gathers OS entropy for a seed sequence
+    that the key then overrides, which costs several times the reset.
+    """
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    zeros = (0, 0, 0, 0)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": None},
+        "buffer": zeros,
+        "buffer_pos": 4,  # empty buffer, as a new Philox has
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    for stream_id in stream_ids:
+        RngStream(seed, stream_id)  # the same argument checks
+        state["state"]["key"] = (seed % (1 << 64), stream_id % (1 << 64))
+        bitgen.state = state
+        yield gen
 
 
 def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:

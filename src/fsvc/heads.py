@@ -8,7 +8,10 @@ and ``dropout_mask`` is the one inverted-dropout mask.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +23,14 @@ from .core import (
     ValidationError,
     as_generator,
 )
+
+# ufuncs bound once and called with a positional ``out``: the support-head
+# loop makes 19 calls a step on arrays of a few hundred elements, where the
+# lookups and keyword parsing are a visible share of each call
+_matmul, _exp, _sqrt, _square = np.matmul, np.exp, np.sqrt, np.square
+_add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
+_max_reduce, _min_reduce = np.maximum.reduce, np.minimum.reduce
+_sum_reduce = np.add.reduce
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,15 +110,24 @@ def softmax_xent(logits: np.ndarray, label: int) -> tuple[float, np.ndarray]:
 def softmax_xent_batch(
     logits: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over rows; dlogits already carries the 1/N factor."""
+    """Mean cross-entropy over rows; dlogits already carries the 1/N factor.
+
+    ``labels`` holds one class index in [0, K) per row of the (N, K) logits.
+    """
     z = np.asarray(logits, dtype=np.float64)
-    n = z.shape[0]
+    y = np.asarray(labels)
+    n, k = z.shape
+    if y.shape != (n,):
+        raise ShapeError(f"labels of shape {y.shape} for {n} logit rows")
+    if n and not (0 <= _min_reduce(y) and _max_reduce(y) < k):
+        bad = y[(y < 0) | (y >= k)]
+        raise ValidationError(f"label {bad[0]} out of range for {k} classes")
     shifted = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1))
     rows = np.arange(n)
-    loss = float(np.mean(log_norm - shifted[rows, labels]))
+    loss = float(np.mean(log_norm - shifted[rows, y]))
     dlogits = np.exp(shifted - log_norm[:, None])
-    dlogits[rows, labels] -= 1.0
+    dlogits[rows, y] -= 1.0
     return loss, dlogits / n
 
 
@@ -127,54 +147,109 @@ def dropout_mask(
 
 _BETA1 = 0.9
 _BETA2 = 0.999
-_EPS = 1e-8
+_EPS = np.array(1e-8)  # 0-d, so no ufunc call converts a Python float
+_EPS.setflags(write=False)
+_DENSE_BETAS = 4096  # moment entries up to which the betas are full arrays
+
+
+class _AdamBuffers(NamedTuple):
+    """Moments and scratch of one parameter, stacked in pairs.
+
+    ``m`` and ``v`` are the halves of ``mv``, and ``g`` and ``g2`` (the
+    gradient and its square) the halves of ``gg``, so one call decays,
+    scales or accumulates both moments.  ``decay`` and ``gain`` hold the
+    betas and one minus them at ``mv``'s shape.  Up to ``_DENSE_BETAS``
+    entries they are full arrays, because a broadcast operand costs numpy
+    more than the arithmetic on arrays that small; larger parameters, such
+    as base training's weights, take stride-0 views that cost no memory.
+    """
+
+    mv: np.ndarray
+    gg: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    g: np.ndarray
+    g2: np.ndarray
+    decay: np.ndarray
+    gain: np.ndarray
+
+    @classmethod
+    def zeros(
+        cls, shape: tuple[int, ...], scratch: np.ndarray | None = None
+    ) -> "_AdamBuffers":
+        """Zero moments for a parameter of ``shape``; ``gg`` is new, or the
+        head of the flat ``scratch`` array when parameters share one."""
+        mv = np.zeros((2, *shape))
+        if scratch is None:
+            scratch = np.empty(mv.size)
+        gg = scratch[: mv.size].reshape(mv.shape)
+        betas = []
+        for pair in ((_BETA1, _BETA2), (1.0 - _BETA1, 1.0 - _BETA2)):
+            c = np.broadcast_to(np.reshape(pair, (2,) + (1,) * len(shape)), mv.shape)
+            betas.append(c.copy() if mv.size <= _DENSE_BETAS else c)
+        return cls(mv, gg, *mv, *gg, *betas)
+
+
+def _step_constants(lr: float, t: int) -> tuple[float, float]:
+    """Bias corrections of Adam step ``t`` (counted from 1): the step size
+    ``lr / (1 - beta1**t)`` and the second-moment divisor ``1 - beta2**t``."""
+    return lr / (1.0 - _BETA1**t), 1.0 - _BETA2**t
+
+
+@lru_cache(maxsize=16)
+def _step_arrays(lr: float, iters: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """``_step_constants`` of steps 1..iters as read-only 0-d arrays.
+
+    Support-head fitting runs the same (lr, iters) in every episode, so the
+    arrays are built once rather than once per step of every episode.
+    """
+    table = np.array([_step_constants(lr, t) for t in range(1, iters + 1)])
+    table.setflags(write=False)
+    return tuple((row[0, ...], row[1, ...]) for row in table)
 
 
 def _adam_update(
     p: np.ndarray,
-    m: np.ndarray,
-    v: np.ndarray,
-    g: np.ndarray,
-    t: int,
-    lr: float,
-    buf: np.ndarray,
-    denom: np.ndarray,
+    b: _AdamBuffers,
+    lr_t: float | np.ndarray,
+    bc2_t: float | np.ndarray,
 ) -> None:
-    """Adam step ``t`` (counted from 1) with bias correction, in place on
-    ``p``, ``m`` and ``v``; ``g`` is left unchanged.
+    """One Adam step in place on ``p`` and the moments in ``b``.
 
-    ``buf`` and ``denom`` are caller-owned scratch arrays of ``p``'s shape,
-    so a loop of steps allocates nothing.
+    The gradient is read from ``b.g``, which the caller fills first; ``b.gg``
+    is scratch afterwards.  ``lr_t`` and ``bc2_t`` are ``_step_constants``
+    of the step, as floats or 0-d arrays.
     """
-    m *= _BETA1
-    np.multiply(g, 1.0 - _BETA1, out=buf)
-    m += buf
-    v *= _BETA2
-    np.square(g, out=buf)
-    buf *= 1.0 - _BETA2
-    v += buf
-    np.divide(v, 1.0 - _BETA2**t, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += _EPS
-    np.multiply(m, lr / (1.0 - _BETA1**t), out=buf)
-    buf /= denom
-    p -= buf
+    mv, gg, m, v, g, g2, decay, gain = b
+    _square(g, g2)
+    _mul(mv, decay, mv)
+    _mul(gg, gain, gg)
+    _add(mv, gg, mv)
+    # gg is free now: g2 becomes the denominator and g the step
+    _div(v, bc2_t, g2)
+    _sqrt(g2, g2)
+    _add(g2, _EPS, g2)
+    _mul(m, lr_t, g)
+    _div(g, g2, g)
+    _sub(p, g, p)
 
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators and step counter for named params."""
+    """Stacked first/second moments and step counter for named params."""
 
     lr: float
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    buffers: dict[str, _AdamBuffers] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: dict[str, np.ndarray], lr: float) -> "AdamState":
+        # adam_step updates one parameter at a time, so all share one scratch
+        scratch = np.empty(2 * max((p.size for p in params.values()), default=0))
         state = cls(lr=lr)
-        state.m = {k: np.zeros_like(p) for k, p in params.items()}
-        state.v = {k: np.zeros_like(p) for k, p in params.items()}
+        state.buffers = {
+            k: _AdamBuffers.zeros(p.shape, scratch) for k, p in params.items()
+        }
         return state
 
 
@@ -184,8 +259,9 @@ def adam_step(
     grads: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """One Adam update; returns new parameter arrays and leaves ``params``
-    unchanged."""
+    and ``grads`` unchanged."""
     state.step += 1
+    lr_t, bc2_t = _step_constants(state.lr, state.step)
     out: dict[str, np.ndarray] = {}
     for name, p in params.items():
         g = grads[name]
@@ -193,9 +269,10 @@ def adam_step(
             raise ShapeError(
                 f"param {name!r}: grad shape {g.shape} != param shape {p.shape}"
             )
+        b = state.buffers[name]
+        b.g[...] = g
         out[name] = p = p.copy()
-        scratch = (np.empty_like(p), np.empty_like(p))
-        _adam_update(p, state.m[name], state.v[name], g, state.step, state.lr, *scratch)
+        _adam_update(p, b, lr_t, bc2_t)
     return out
 
 
@@ -219,8 +296,9 @@ def imprint(
     for k, zs in enumerate(groups):
         if not zs:
             raise CoverageError(f"class {k} has no support logits to imprint")
-        mean = np.mean(zs, axis=0)
-        norm = float(np.linalg.norm(mean))
+        # np.mean's and np.linalg.norm's arithmetic, without their wrappers
+        mean = _sum_reduce(zs, 0) / len(zs)
+        norm = math.sqrt(mean.dot(mean))
         if norm <= 1e-300:
             raise DegenerateInputError(
                 f"class {k}: mean support logits have zero norm"
@@ -274,19 +352,23 @@ def train_head(
     x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
     onehot = np.zeros((n, k))
     onehot[np.arange(n), y] = 1.0
-    # every step works in these buffers and allocates no arrays
-    m, v, dp, buf, denom = (np.zeros_like(p) for _ in range(5))
+    # every step works in these buffers and views and allocates no arrays;
+    # the constants are 0-d arrays, so no call converts a Python number
+    b = _AdamBuffers.zeros(p.shape)
+    g = b.g
     z = np.empty((n, k))
     zred = np.empty((n, 1))
-    for t in range(1, iters + 1):
-        np.matmul(x1, p.T, out=z)
-        np.maximum.reduce(z, axis=1, keepdims=True, out=zred)
-        z -= zred
-        np.exp(z, out=z)
-        np.add.reduce(z, axis=1, keepdims=True, out=zred)
-        z /= zred
-        z -= onehot
-        np.matmul(z.T, x1, out=dp)
-        dp /= n
-        _adam_update(p, m, v, dp, t, lr, buf, denom)
+    p_t, z_t, n0 = p.T, z.T, np.array(n, dtype=np.float64)
+    for lr_t, bc2_t in _step_arrays(lr, iters):
+        # softmax of the logits minus the one-hot labels, then its gradient
+        _matmul(x1, p_t, z)
+        _max_reduce(z, 1, None, zred, True)
+        _sub(z, zred, z)
+        _exp(z, z)
+        _sum_reduce(z, 1, None, zred, True)
+        _div(z, zred, z)
+        _sub(z, onehot, z)
+        _matmul(z_t, x1, g)
+        _div(g, n0, g)
+        _adam_update(p, b, lr_t, bc2_t)
     return LinearHead(p[:, :-1], p[:, -1])

@@ -265,6 +265,10 @@ class EpisodeArrays:
 def episode_arrays(episode, n_way: int) -> EpisodeArrays:
     groups: list[list[np.ndarray]] = [[] for _ in range(n_way)]
     for seq, lab in episode.support:
+        if not 0 <= lab < n_way:
+            raise ValidationError(
+                f"support label {lab} out of range for n_way={n_way}"
+            )
         groups[lab].append(seq.frames)
     if any(not g for g in groups):
         raise ValidationError("episode does not cover all classes")
@@ -548,15 +552,17 @@ def adapt_and_predict(
         )
         return int(np.argmax(linear_forward(head, q_feat)))
 
-    # baseline-plus: features are frozen base-head logits
+    # baseline-plus: features are frozen base-head logits.  The query's
+    # linear_forward checks the width every support row shares; each row then
+    # gets its own product as linear_forward would give it, since a batched
+    # (N, D) @ W.T rounds differently from N matrix-vector products.
     base = model.base_head
-    sup_logits = [linear_forward(base, f) for f in sup_feats]
     q_logits = linear_forward(base, q_feat)
-    novel = imprint(list(zip(sup_logits, sup_labels)), cfg.n_way)
+    w_t, b = base.weight.T, base.bias
+    support = list(zip([f @ w_t + b for f in sup_feats], sup_labels))
+    novel = imprint(support, cfg.n_way)
     if cfg.iters_adapt > 0:
-        novel = train_head(
-            list(zip(sup_logits, sup_labels)), novel, cfg.iters_adapt, cfg.lr_adapt
-        )
+        novel = train_head(support, novel, cfg.iters_adapt, cfg.lr_adapt)
     return int(np.argmax(linear_forward(novel, q_logits)))
 
 

@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import Iterable, get_type_hints
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .core import (
     RngStream,
     ValidationError,
     VideoEntry,
+    _stream_generators,
     as_generator,
     save_manifest,
     write_feature_files,
@@ -178,22 +179,28 @@ def _warp_positions(
 
 
 def _video_block(
-    proto: np.ndarray, spec: GeneratorSpec, gens: list[np.random.Generator]
+    proto: np.ndarray,
+    spec: GeneratorSpec,
+    gens: Iterable[np.random.Generator],
+    count: int | None = None,
 ) -> np.ndarray:
     """(V, T, C_in) frames of one video per generator, all from ``proto``.
 
-    Each generator draws its video's T warp uniforms and then, if there is
-    noise, its (T, C_in) standard normals; everything after the draws runs
-    once on the whole block.
+    ``gens`` is a sequence, or an iterator of ``count`` generators that are
+    drawn in turn.  Each generator draws its video's T warp uniforms and
+    then, if there is noise, its (T, C_in) standard normals before the next
+    one is drawn; everything after the draws runs once on the whole block.
     """
+    if count is None:
+        count = len(gens)
     if proto.shape[0] != spec.prototype_len:
         raise ValidationError(
             f"prototype has {proto.shape[0]} rows, spec says {spec.prototype_len}"
         )
     t = spec.frame_count
-    u = np.empty((len(gens), t))
-    noise = np.empty((len(gens), t, proto.shape[1]))
-    for gen, u_row, noise_rows in zip(gens, u, noise):
+    u = np.empty((count, t))
+    noise = np.empty((count, t, proto.shape[1]))
+    for u_row, noise_rows, gen in zip(u, noise, gens):
         gen.random(out=u_row)
         if spec.noise_sigma > 0.0:
             gen.standard_normal(out=noise_rows)
@@ -235,8 +242,8 @@ def _write_class_videos(
     )
     os.makedirs(os.path.join(out_dir, subdir, class_name), exist_ok=True)
     counters = range(video_counter, video_counter + spec.videos_per_class)
-    gens = [RngStream(spec.seed, STREAM_VIDEO + c).generator() for c in counters]
-    frames = _video_block(proto, spec, gens)
+    gens = _stream_generators(spec.seed, (STREAM_VIDEO + c for c in counters))
+    frames = _video_block(proto, spec, gens, len(counters))
     entries = [
         VideoEntry(vid, class_id, f"{subdir}/{class_name}/{vid}.fsvf", split)
         for vid in (f"{class_name}_v{j:03d}" for j in range(spec.videos_per_class))

@@ -182,6 +182,27 @@ def train_head(
     return LinearHead(p[:, :-1], p[:, -1])
 
 
+def adam_step(
+    moments: dict[str, tuple[np.ndarray, np.ndarray]],
+    params: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray],
+    t: int,
+    lr: float,
+) -> dict[str, np.ndarray]:
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m, v = moments[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * np.square(g)
+        denom = np.sqrt(v / (1.0 - beta2**t)) + eps
+        out[name] = p - (lr / (1.0 - beta1**t)) * m / denom
+    return out
+
+
 # ---------------------------------------------------------------------------
 # episode losses: the per-path-step and per-head loops around _cos_grads
 

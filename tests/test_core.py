@@ -17,6 +17,7 @@ from fsvc.core import (
     ShapeError,
     ValidationError,
     VideoEntry,
+    _stream_generators,
     load_manifest,
     load_sequence,
     read_feature_file,
@@ -371,6 +372,26 @@ def test_stream_repeatability_property(seed, stream_id):
     a = RngStream(seed, stream_id).generator().integers(0, 1 << 30, size=5)
     b = RngStream(seed, stream_id).generator().integers(0, 1 << 30, size=5)
     assert np.array_equal(a, b)
+
+
+def test_rekeyed_streams_match_new_generators():
+    # each stream leaves the shared Philox mid-buffer and with a spare 32-bit
+    # half, which the next re-key must clear
+    seed = 2**64 - 3
+    ids = [0, 1, 7, 2**63, 5]
+    for stream_id, gen in zip(ids, _stream_generators(seed, ids)):
+        fresh = RngStream(seed, stream_id).generator()
+        for g in (gen, fresh):
+            g.bit_generator.random_raw()
+        assert gen.integers(0, 7, size=3, dtype=np.uint32).tolist() == fresh.integers(
+            0, 7, size=3, dtype=np.uint32
+        ).tolist()
+        assert np.array_equal(gen.standard_normal(9), fresh.standard_normal(9))
+
+
+def test_rekeyed_streams_check_arguments():
+    with pytest.raises(ValidationError):
+        list(_stream_generators(1, [0, -1]))
 
 
 def test_negative_seed_rejected():

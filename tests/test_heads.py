@@ -18,6 +18,7 @@ from fsvc.heads import (
     init_head,
     linear_forward,
     softmax_xent,
+    softmax_xent_batch,
     train_head,
 )
 
@@ -63,6 +64,19 @@ def test_softmax_xent_large_logits_stable():
 def test_softmax_xent_label_out_of_range():
     with pytest.raises(ValidationError):
         softmax_xent(np.zeros(3), 3)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_softmax_xent_batch_label_out_of_range(bad):
+    # -1 used to train as class K-1 and K to end in a bare IndexError
+    with pytest.raises(ValidationError, match=f"label {bad} out of range for 3"):
+        softmax_xent_batch(np.zeros((2, 3)), np.array([0, bad]))
+
+
+@pytest.mark.parametrize("labels", [[0], [0, 1, 2], [[0, 1]]])
+def test_softmax_xent_batch_label_count_mismatch(labels):
+    with pytest.raises(ShapeError, match="for 2 logit rows"):
+        softmax_xent_batch(np.zeros((2, 3)), np.array(labels))
 
 
 def test_softmax_xent_gradient_matches_finite_differences():

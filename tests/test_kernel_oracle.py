@@ -183,16 +183,23 @@ def test_episode_arrays_missing_class_matches_oracle():
 @SETTINGS
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_way=st.integers(2, 5),
-    k_shot=st.integers(1, 5),
-    d=st.integers(1, 16),
-    iters=st.integers(0, 50),
+    shots=st.lists(st.integers(1, 5), min_size=2, max_size=12),
+    d=st.integers(1, 80),
+    log_scale=st.floats(-3.0, 3.0),
+    iters=st.integers(0, 150),
+    log_lr=st.floats(-3.0, -1.0),
 )
-def test_train_head_matches_oracle_bitwise(seed, n_way, k_shot, d, iters):
+@example(seed=0, shots=[1] * 5, d=64, log_scale=0.0, iters=100, log_lr=-3.0)
+@example(seed=1, shots=[5] * 12, d=80, log_scale=3.0, iters=150, log_lr=-1.0)
+def test_train_head_matches_oracle_bitwise(seed, shots, d, log_scale, iters, log_lr):
+    # n_way up to 12 takes the row sums past numpy's 8-element pairwise
+    # block, D up to 80 covers the benchmark's 65 augmented columns, and
+    # scales up to 1e3 saturate the softmax as base-head logits can
     gen = np.random.default_rng(seed)
-    feats = [(gen.standard_normal(d), c) for c in range(n_way) for _ in range(k_shot)]
-    init = heads.init_head(gen, n_way, d)
-    lr = float(gen.choice([1e-3, 1e-2, 0.1]))
+    labels = gen.permutation(np.repeat(np.arange(len(shots)), shots))
+    feats = [(10.0**log_scale * gen.standard_normal(d), int(c)) for c in labels]
+    init = heads.init_head(gen, len(shots), d)
+    lr = 10.0**log_lr
     got = heads.train_head(feats, init, iters, lr)
     ref = oracle.train_head(feats, init, iters, lr, 0.0, RngStream(0))
     assert same_bits(got.weight, ref.weight)
@@ -211,7 +218,7 @@ def test_adam_step_matches_shared_kernel_bitwise(seed, shape, steps, lr):
     params = {"w": gen.standard_normal(shape), "b": gen.standard_normal(shape[0])}
     state = heads.AdamState.for_params(params, lr)
     ref = {k: p.copy() for k, p in params.items()}
-    moments = {k: (np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
+    moments = {k: heads._AdamBuffers.zeros(p.shape) for k, p in params.items()}
     for t in range(1, steps + 1):
         grads = {k: gen.standard_normal(p.shape) for k, p in params.items()}
         prev = params
@@ -219,8 +226,34 @@ def test_adam_step_matches_shared_kernel_bitwise(seed, shape, steps, lr):
         params = heads.adam_step(state, prev, grads)
         assert state.step == t
         for k, g in grads.items():
-            scratch = (np.empty_like(g), np.empty_like(g))
-            heads._adam_update(ref[k], *moments[k], g, t, lr, *scratch)
+            moments[k].g[...] = g
+            heads._adam_update(ref[k], moments[k], *heads._step_constants(lr, t))
             assert same_bits(params[k], ref[k])
             # adam_step returns new arrays and leaves its inputs alone
             assert same_bits(prev[k], saved[k][0]) and same_bits(g, saved[k][1])
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    # (40, 64) is past _DENSE_BETAS, so its betas are stride-0 views
+    shape=st.one_of(st.tuples(st.integers(1, 4), st.integers(1, 6)), st.just((40, 64))),
+    steps=st.integers(1, 8),
+    lr=st.sampled_from([1e-5, 1e-3, 0.1]),
+    log_scale=st.floats(-3.0, 3.0),
+)
+def test_adam_step_matches_oracle_bitwise(seed, shape, steps, lr, log_scale):
+    gen = np.random.default_rng(seed)
+    params = {"w": gen.standard_normal(shape), "b": gen.standard_normal(shape[0])}
+    state = heads.AdamState.for_params(params, lr)
+    ref = dict(params)
+    moments = {k: (np.zeros_like(p), np.zeros_like(p)) for k, p in params.items()}
+    for t in range(1, steps + 1):
+        grads = {
+            k: 10.0**log_scale * gen.standard_normal(p.shape)
+            for k, p in params.items()
+        }
+        params = heads.adam_step(state, params, grads)
+        ref = oracle.adam_step(moments, ref, grads, t, lr)
+        for k in params:
+            assert same_bits(params[k], ref[k])

@@ -391,6 +391,33 @@ def test_adaptation_never_mutates_model(bench):
     assert model.weight_digest() == digest
 
 
+@pytest.mark.parametrize("method", ["baseline", "meta-baseline"])
+def test_adapt_rejects_support_label_beyond_n_way(bench, method):
+    # a 5-way episode under a 3-way config used to end in a bare IndexError
+    manifest, _ = bench
+    episode = sample_episode(load_split(manifest, "test"), 5, 1, RngStream(8, 0))
+    cfg = MethodConfig(method=method, n_way=3, embed_dim=8)
+    emb = init_embedding(RngStream(2, 0), 8, manifest.feature_dim)
+    head = init_head(RngStream(2, 1), 6, 8) if method == "baseline" else None
+    model = TrainedModel(emb, head, None, cfg)
+    message = r"support label [34] out of range for n_way=3"
+    with pytest.raises(ValidationError, match=message):
+        adapt_and_predict(model, episode, cfg)
+
+
+def test_episode_arrays_rejects_negative_label():
+    frames = np.ones((3, 2))
+    episode = type("E", (), {})()
+    episode.support = (
+        (FeatureSequence("a", 0, frames), 0),
+        (FeatureSequence("b", 1, frames), -1),
+    )
+    episode.query = (FeatureSequence("q", 0, frames), 0)
+    message = "support label -1 out of range for n_way=2"
+    with pytest.raises(ValidationError, match=message):
+        episode_arrays(episode, 2)
+
+
 def test_adapt_rejects_method_mismatch(bench):
     manifest, _ = bench
     data = load_split(manifest, "test")
