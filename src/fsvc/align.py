@@ -228,9 +228,10 @@ def saliency_attention(seq: np.ndarray, params: SaliencyParams) -> np.ndarray:
     """
     seq = np.asarray(seq, dtype=np.float64)
     logits = (seq @ params.queries.T) * params.scale  # (..., T, S)
-    logits = logits - logits.max(axis=-2, keepdims=True)
+    # ndarray.max and .sum are these reductions behind a Python wrapper
+    logits = logits - np.maximum.reduce(logits, axis=-2, keepdims=True)
     w = np.exp(logits)
-    return w / w.sum(axis=-2, keepdims=True)
+    return w / np.add.reduce(w, axis=-2, keepdims=True)
 
 
 def multi_saliency(seq: np.ndarray, params: SaliencyParams) -> np.ndarray:
@@ -245,4 +246,6 @@ def saliency_similarity(desc_a: np.ndarray, desc_b: np.ndarray) -> float:
     b = np.asarray(desc_b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValidationError(f"descriptor shapes differ: {a.shape} vs {b.shape}")
-    return float(np.mean([cosine(a[s], b[s]) for s in range(a.shape[0])]))
+    n = a.shape[0]
+    # np.mean's pairwise sum and division, without its Python wrapper
+    return float(np.add.reduce([cosine(a[s], b[s]) for s in range(n)]) / n)

@@ -21,6 +21,7 @@ from .core import (
     RngStream,
     ValidationError,
     VideoEntry,
+    _stream_generators,
     as_generator,
     load_sequence,
 )
@@ -119,6 +120,36 @@ def _check_capacity(data: SplitData, n_way: int, k_shot: int) -> None:
             )
 
 
+# Generator.choice's own set-up costs about five scalar integers() calls, and
+# a Floyd draw of `size` picks makes 2 * size - 1 of them, so only the
+# smallest draws are cheaper made one by one.  choice runs Floyd's algorithm
+# for every size this small: it switches to a tail shuffle only for
+# pop > 10000 and size > pop // 50.
+_SCALAR_PICKS_MAX = 2
+
+
+def _choice(gen: np.random.Generator, pop: int, size: int) -> list[int]:
+    """``gen.choice(pop, size, replace=False).tolist()``, 0 <= size <= pop.
+
+    Up to ``_SCALAR_PICKS_MAX`` picks are drawn as choice draws them, without
+    its Python-level set-up: Floyd's ``integers(j + 1)`` for j from
+    pop - size to pop - 1 (a repeat becomes j), then a Fisher-Yates shuffle
+    with ``integers(i + 1)`` for i from size - 1 down to 1.  The picks and the
+    generator state after them are those of ``gen.choice``.
+    """
+    if size > _SCALAR_PICKS_MAX:
+        return gen.choice(pop, size=size, replace=False).tolist()
+    integers = gen.integers
+    picks: list[int] = []
+    for j in range(pop - size, pop):
+        pick = int(integers(j + 1))
+        picks.append(j if pick in picks else pick)
+    for i in range(size - 1, 0, -1):
+        k = int(integers(i + 1))
+        picks[i], picks[k] = picks[k], picks[i]
+    return picks
+
+
 def sample_episode(
     data: SplitData,
     n_way: int,
@@ -130,21 +161,21 @@ def sample_episode(
     class becomes the query."""
     _check_capacity(data, n_way, k_shot)
     gen = as_generator(rng)
-    chosen = gen.choice(len(data.class_ids), size=n_way, replace=False)
+    chosen = _choice(gen, len(data.class_ids), n_way)
     query_slot = int(gen.integers(n_way))
     support: list[tuple[FeatureSequence, int]] = []
     query: tuple[FeatureSequence, int] | None = None
     class_map: dict[int, int] = {}
     for local, idx in enumerate(chosen):
-        cid = data.class_ids[int(idx)]
+        cid = data.class_ids[idx]
         class_map[local] = cid
         videos = data.by_class[cid]
         need = k_shot + 1 if local == query_slot else k_shot
-        picks = gen.choice(len(videos), size=need, replace=False)
+        picks = _choice(gen, len(videos), need)
         for pick in picks[:k_shot]:
-            support.append((videos[int(pick)], local))
+            support.append((videos[pick], local))
         if local == query_slot:
-            query = (videos[int(picks[k_shot])], local)
+            query = (videos[picks[k_shot]], local)
     assert query is not None
     return Episode(support=tuple(support), query=query, class_map=class_map)
 
@@ -192,8 +223,8 @@ def accuracy_vector(
         raise ValidationError(f"need at least 1 episode, got {n_episodes}")
     _check_capacity(data, cfg.n_way, cfg.k_shot)
     correct = np.zeros(n_episodes, dtype=np.float64)
-    for e in range(n_episodes):
-        gen = RngStream(cfg.seed, e).generator()
+    # each generator serves one episode only, so one re-keyed Philox does
+    for e, gen in enumerate(_stream_generators(cfg.seed, range(n_episodes))):
         episode = sample_episode(data, cfg.n_way, cfg.k_shot, gen)
         pred = adapt_and_predict(model, episode, cfg, rng=gen)
         correct[e] = 1.0 if pred == episode.query[1] else 0.0

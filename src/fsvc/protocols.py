@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, replace
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .core import (
     RngStream,
     ShapeError,
     ValidationError,
+    _stream_generators,
     as_generator,
 )
 from .heads import (
@@ -136,6 +138,18 @@ def pooled_embedding(emb: EmbeddingParams, frames: np.ndarray) -> np.ndarray:
     return np.add.reduce(e, axis=-2) / e.shape[-2]
 
 
+# MethodConfig's training schedule counts; each must be at least 1
+_SCHEDULE_FIELDS = (
+    "batch_size",
+    "train_steps",
+    "val_every",
+    "episodes_per_epoch",
+    "max_epochs",
+    "patience",
+    "val_episodes",
+)
+
+
 @dataclass(frozen=True)
 class MethodConfig:
     """Everything needed to train and evaluate one method reproducibly.
@@ -176,8 +190,21 @@ class MethodConfig:
             raise ValidationError(f"unknown init {self.init!r}")
         if self.n_way < 2 or self.k_shot < 1:
             raise ValidationError("need n_way >= 2 and k_shot >= 1")
-        if self.temperature <= 0:
-            raise ValidationError("temperature must be > 0")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ValidationError(
+                f"temperature must be finite and > 0, got {self.temperature}"
+            )
+        rates = {"lr_adapt": self.lr_adapt}
+        if self.lr_base is not None:
+            rates["lr_base"] = self.lr_base
+        for name, lr in rates.items():
+            if not (math.isfinite(lr) and lr > 0):
+                raise ValidationError(f"{name} must be finite and > 0, got {lr}")
+        for name in _SCHEDULE_FIELDS:
+            if getattr(self, name) < 1:
+                raise ValidationError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValidationError("dropout_p must be in [0, 1)")
         if self.iters_adapt < 0:
@@ -482,12 +509,12 @@ def method_scores(
     emb = model.embedding
     if cfg.method == "meta-baseline":
         q = pooled_embedding(emb, ep.query)
-        return np.array(
-            [
-                cosine(q, pooled_embedding(emb, frames).mean(axis=0))
-                for frames in ep.support
-            ]
-        )
+        scores = []
+        for frames in ep.support:
+            pooled = pooled_embedding(emb, frames)
+            # ndarray.mean's own arithmetic, without its Python wrapper
+            scores.append(cosine(q, np.add.reduce(pooled, 0) / len(pooled)))
+        return np.array(scores)
     if cfg.method == "cmn-lite":
         sal = model.saliency
         q_desc = multi_saliency(embed_frames(emb, ep.query), sal)
@@ -496,7 +523,8 @@ def method_scores(
             descs = [
                 multi_saliency(embed_frames(emb, f), sal) for f in frames_c
             ]
-            scores.append(saliency_similarity(q_desc, np.mean(descs, axis=0)))
+            proto = np.add.reduce(descs, 0) / len(descs)
+            scores.append(saliency_similarity(q_desc, proto))
         return np.array(scores)
     if cfg.method == "otam-lite":
         q_emb = embed_frames(emb, ep.query)
@@ -508,7 +536,8 @@ def method_scores(
                 )
                 for f in frames_c
             ]
-            scores.append(float(np.mean(sims)))
+            # numpy's pairwise sum, as np.mean adds them
+            scores.append(float(np.add.reduce(sims) / len(sims)))
         return np.array(scores)
     raise ValidationError(f"{cfg.method!r} is not a metric method")
 
@@ -534,7 +563,7 @@ def adapt_and_predict(
     ep = episode_arrays(episode, cfg.n_way)
 
     if cfg.method in METRIC_METHODS:
-        return int(np.argmax(method_scores(model, ep, cfg)))
+        return int(method_scores(model, ep, cfg).argmax())
 
     emb = model.embedding
     sup_feats = []
@@ -586,8 +615,8 @@ def _val_accuracy(model: TrainedModel, cfg: MethodConfig, val_data) -> float:
     from . import harness  # deferred; harness imports this module at top level
 
     correct = 0
-    for i in range(cfg.val_episodes):
-        gen = RngStream(cfg.seed, STREAM_VAL_EPISODE + i).generator()
+    streams = range(STREAM_VAL_EPISODE, STREAM_VAL_EPISODE + cfg.val_episodes)
+    for gen in _stream_generators(cfg.seed, streams):
         episode = harness.sample_episode(val_data, cfg.n_way, cfg.k_shot, gen)
         pred = adapt_and_predict(model, episode, cfg, rng=gen)
         correct += int(pred == episode.query[1])
@@ -701,11 +730,10 @@ def meta_train(
     best: TrainedModel | None = None
     best_acc = -1.0
     stale = 0
-    counter = 0
+    streams = _stream_generators(cfg.seed, count(STREAM_TRAIN_EPISODE))
     for _ in range(cfg.max_epochs):
         for _ in range(cfg.episodes_per_epoch):
-            gen = RngStream(cfg.seed, STREAM_TRAIN_EPISODE + counter).generator()
-            counter += 1
+            gen = next(streams)
             episode = harness.sample_episode(train_data, cfg.n_way, cfg.k_shot, gen)
             ep = episode_arrays(episode, cfg.n_way)
             model = _model_from_params(params, cfg)

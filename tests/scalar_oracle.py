@@ -7,8 +7,11 @@ tests in ``test_kernel_oracle.py`` require them to return bitwise-equal
 results to these copies.  The episode losses at the end are the loop forms
 that the package now computes with stacked arrays; ``test_loss_oracle.py``
 compares those to within rounding.  The one-video generator and the feature
-file reader at the end are the per-video forms that the package now runs on
-whole class blocks; ``test_synthdata.py`` requires bitwise-equal results.
+file reader are the per-video forms that the package now runs on whole class
+blocks; ``test_synthdata.py`` requires bitwise-equal results.  The episode
+sampler and the metric-method scores at the end are the ``Generator.choice``
+and ``np.mean`` forms; ``test_episode_oracle.py`` requires the same picks,
+generator states and score bytes.
 Only data types, error classes and ``as_generator`` are imported from
 ``fsvc``, so later edits to the package cannot move the oracle.
 """
@@ -18,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from fsvc.core import (
+    CapacityError,
     CoverageError,
     DegenerateInputError,
     FeatureSequence,
@@ -27,6 +31,7 @@ from fsvc.core import (
     as_generator,
 )
 from fsvc.align import SaliencyParams
+from fsvc.harness import Episode, SplitData
 from fsvc.heads import LinearHead
 from fsvc.protocols import EmbeddingParams, EpisodeArrays
 
@@ -441,3 +446,105 @@ def read_feature_frames(path) -> np.ndarray:
     t, c_in = np.frombuffer(data, dtype="<u4", count=2, offset=8)
     frames = np.frombuffer(data[16:], dtype="<f4").reshape(int(t), int(c_in))
     return np.array(frames, dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
+# episode sampling and metric-method scores
+
+
+def _check_capacity(data: SplitData, n_way: int, k_shot: int) -> None:
+    if len(data.class_ids) < n_way:
+        raise CapacityError(
+            f"split has {len(data.class_ids)} classes, need {n_way}"
+        )
+    for cid in data.class_ids:
+        have = len(data.by_class[cid])
+        if have < k_shot + 1:
+            raise CapacityError(
+                f"class {cid} has {have} videos, need {k_shot + 1} "
+                f"({k_shot} supports plus a query candidate)"
+            )
+
+
+def sample_episode(
+    data: SplitData,
+    n_way: int,
+    k_shot: int,
+    rng: RngStream | np.random.Generator,
+) -> Episode:
+    _check_capacity(data, n_way, k_shot)
+    gen = as_generator(rng)
+    chosen = gen.choice(len(data.class_ids), size=n_way, replace=False)
+    query_slot = int(gen.integers(n_way))
+    support: list[tuple[FeatureSequence, int]] = []
+    query: tuple[FeatureSequence, int] | None = None
+    class_map: dict[int, int] = {}
+    for local, idx in enumerate(chosen):
+        cid = data.class_ids[int(idx)]
+        class_map[local] = cid
+        videos = data.by_class[cid]
+        need = k_shot + 1 if local == query_slot else k_shot
+        picks = gen.choice(len(videos), size=need, replace=False)
+        for pick in picks[:k_shot]:
+            support.append((videos[int(pick)], local))
+        if local == query_slot:
+            query = (videos[int(picks[k_shot])], local)
+    assert query is not None
+    return Episode(support=tuple(support), query=query, class_map=class_map)
+
+
+def otam_similarity(
+    q_emb: np.ndarray, s_emb: np.ndarray, normalize: bool = False
+) -> float:
+    cost, path = dtw(frame_distance_matrix(q_emb, s_emb))
+    if normalize:
+        return -cost / len(path)
+    return -cost
+
+
+def multi_saliency(seq: np.ndarray, params: SaliencyParams) -> np.ndarray:
+    att = saliency_attention(seq, params)  # (T, S)
+    return att.T @ np.asarray(seq, dtype=np.float64)  # (S, C)
+
+
+def saliency_similarity(desc_a: np.ndarray, desc_b: np.ndarray) -> float:
+    a = np.asarray(desc_a, dtype=np.float64)
+    b = np.asarray(desc_b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValidationError(f"descriptor shapes differ: {a.shape} vs {b.shape}")
+    return float(np.mean([cosine(a[s], b[s]) for s in range(a.shape[0])]))
+
+
+def method_scores(model, ep: EpisodeArrays, cfg) -> np.ndarray:
+    emb = model.embedding
+    if cfg.method == "meta-baseline":
+        q = pooled_embedding(emb, ep.query)
+        return np.array(
+            [
+                cosine(q, pooled_embedding(emb, frames).mean(axis=0))
+                for frames in ep.support
+            ]
+        )
+    if cfg.method == "cmn-lite":
+        sal = model.saliency
+        q_desc = multi_saliency(embed_frames(emb, ep.query), sal)
+        scores = []
+        for frames_c in ep.support:
+            descs = [
+                multi_saliency(embed_frames(emb, f), sal) for f in frames_c
+            ]
+            scores.append(saliency_similarity(q_desc, np.mean(descs, axis=0)))
+        return np.array(scores)
+    if cfg.method == "otam-lite":
+        q_emb = embed_frames(emb, ep.query)
+        scores = []
+        for frames_c in ep.support:
+            sims = [
+                otam_similarity(
+                    q_emb, embed_frames(emb, f), normalize=cfg.dtw_normalize
+                )
+                for f in frames_c
+            ]
+            scores.append(float(np.mean(sims)))
+        return np.array(scores)
+    raise ValidationError(f"{cfg.method!r} is not a metric method")

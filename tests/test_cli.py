@@ -246,6 +246,36 @@ def test_train_bad_manifest_header_is_clean_error(bench_dir, tmp_path, key, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "method, flag, value, field",
+    [
+        ("meta-baseline", "--val-episodes", "0", "val_episodes"),
+        ("baseline", "--val-episodes", "0", "val_episodes"),
+        ("baseline", "--batch-size", "0", "batch_size"),
+        ("baseline", "--train-steps", "0", "train_steps"),
+        ("meta-baseline", "--episodes-per-epoch", "0", "episodes_per_epoch"),
+        ("meta-baseline", "--max-epochs", "0", "max_epochs"),
+        ("baseline", "--lr-base", "-1", "lr_base"),
+        ("baseline", "--lr-adapt", "inf", "lr_adapt"),
+        ("otam-lite", "--temperature", "nan", "temperature"),
+    ],
+)
+def test_train_rejects_bad_schedule_and_rates(
+    bench_dir, tmp_path, capsys, method, flag, value, field
+):
+    out = tmp_path / "model.fsvm"
+    rc = main(
+        ["train", "--method", method,
+         "--manifest", str(bench_dir / "bench" / "manifest.json"),
+         "--out", str(out), flag, value]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} must be ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_unknown_method_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["train", "--method", "svm", "--manifest", "x", "--out", "y"])

@@ -8,6 +8,7 @@ import pytest
 from fsvc.core import CapacityError, RngStream, load_manifest
 from fsvc.harness import (
     EvalReport,
+    accuracy_vector,
     build_splits,
     ci95_halfwidth,
     evaluate,
@@ -18,10 +19,15 @@ from fsvc.harness import (
     validate_episode,
 )
 from fsvc.protocols import (
+    METHODS,
+    STREAM_VAL_EPISODE,
     MethodConfig,
     TrainedModel,
+    _val_accuracy,
+    adapt_and_predict,
     init_embedding,
     train_classification,
+    train_model,
 )
 from fsvc.synthdata import GeneratorSpec, gen_benchmark
 
@@ -227,6 +233,61 @@ def test_build_splits_deterministic(big_manifest, tmp_path):
     assert {v.video_id for v in a.videos if v.split == "train"} != {
         v.video_id for v in c.videos if v.split == "train"
     }
+
+
+# ---------------------------------------------------------------------------
+# episode streams: each episode gets a fresh RngStream(seed, stream) generator
+
+
+@pytest.fixture(scope="module")
+def models(bench):
+    """One briefly trained model per method, on the ``bench`` tree."""
+    schedule = dict(
+        embed_dim=6,
+        train_steps=6,
+        val_every=3,
+        episodes_per_epoch=6,
+        max_epochs=1,
+        val_episodes=3,
+    )
+    return {
+        m: train_model(bench, MethodConfig(method=m, seed=31, **schedule))
+        for m in METHODS
+    }
+
+
+def reference_predictions(model, cfg, data, stream_ids) -> list[int]:
+    """Whether each episode is right, with a new generator per stream, as
+    evaluation drew episodes before it re-keyed one generator per loop.
+    ``baseline`` draws its head from the generator after sampling, so its
+    predictions also depend on the post-sample state."""
+    hits = []
+    for s in stream_ids:
+        gen = RngStream(cfg.seed, s).generator()
+        episode = sample_episode(data, cfg.n_way, cfg.k_shot, gen)
+        pred = adapt_and_predict(model, episode, cfg, rng=gen)
+        hits.append(int(pred == episode.query[1]))
+    return hits
+
+
+@pytest.mark.parametrize("k_shot", [1, 3])
+@pytest.mark.parametrize("method", METHODS)
+def test_accuracy_vector_streams_match_fresh_generators(method, k_shot, bench, models):
+    model = models[method]
+    cfg = MethodConfig(method=method, k_shot=k_shot, seed=77, embed_dim=6)
+    data = load_split(bench, "test")
+    vec = accuracy_vector(model, cfg, data, 40)
+    assert vec.tolist() == reference_predictions(model, cfg, data, range(40))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_val_accuracy_streams_match_fresh_generators(method, bench, models):
+    model = models[method]
+    cfg = MethodConfig(method=method, seed=78, embed_dim=6, val_episodes=40)
+    data = load_split(bench, "val")
+    streams = range(STREAM_VAL_EPISODE, STREAM_VAL_EPISODE + 40)
+    hits = reference_predictions(model, cfg, data, streams)
+    assert _val_accuracy(model, cfg, data) == sum(hits) / 40
 
 
 def test_build_splits_insufficient_classes(big_manifest):

@@ -113,6 +113,39 @@ def test_config_validation():
         MethodConfig(method="baseline", init="imagenet")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("batch_size", 0),
+        ("train_steps", 0),
+        ("val_every", 0),
+        ("episodes_per_epoch", 0),
+        ("max_epochs", -1),
+        ("patience", 0),
+        ("val_episodes", 0),
+        ("lr_base", -1.0),
+        ("lr_base", 0.0),
+        ("lr_base", float("nan")),
+        ("lr_adapt", 0.0),
+        ("lr_adapt", float("inf")),
+        ("temperature", float("nan")),
+        ("temperature", float("inf")),
+    ],
+)
+def test_config_rejects_bad_schedule_and_rates(field, value):
+    with pytest.raises(ValidationError, match=f"{field} must be"):
+        MethodConfig(method="baseline", **{field: value})
+
+
+def test_config_fingerprint_is_unchanged_by_validation():
+    # the fingerprint goes into every report, so it must not move when the
+    # config gains checks
+    assert MethodConfig(method="baseline").fingerprint() == "923c284d3c4c97dd"
+    assert MethodConfig(method="otam-lite", lr_base=0.02).fingerprint() == (
+        "3520d5edf75b9f95"
+    )
+
+
 def test_model_component_presence():
     emb = init_embedding(RngStream(0, 0), 4, 6)
     with pytest.raises(ValidationError):
