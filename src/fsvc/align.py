@@ -17,7 +17,7 @@ reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -195,21 +195,23 @@ def otam_similarity(
 class SaliencyParams:
     """Attention queries for multi-head saliency pooling.
 
-    One query vector per head; ``scale`` is the logit scaling 1/sqrt(C).
-    Zero queries give uniform attention, i.e. exact average pooling.
+    One query vector per head.  Zero queries give uniform attention, i.e.
+    exact average pooling.  ``scale`` is the logit scaling 1/sqrt(C), derived
+    once from the queries' width.
     """
 
     queries: np.ndarray  # (S, C)
-    scale: float
+    scale: float = field(init=False)
 
     def __post_init__(self) -> None:
         q = np.array(self.queries, dtype=np.float64)
-        if q.ndim != 2 or q.shape[0] < 1:
+        if q.ndim != 2 or 0 in q.shape:
             raise ValidationError(
-                f"queries must be a (S>=1, C) matrix, got shape {q.shape}"
+                f"queries must be a (S>=1, C>=1) matrix, got shape {q.shape}"
             )
         q.setflags(write=False)
         object.__setattr__(self, "queries", q)
+        object.__setattr__(self, "scale", 1.0 / np.sqrt(q.shape[1]))
 
     @property
     def n_heads(self) -> int:
@@ -217,7 +219,7 @@ class SaliencyParams:
 
     @classmethod
     def zeros(cls, n_heads: int, dim: int) -> "SaliencyParams":
-        return cls(np.zeros((n_heads, dim)), 1.0 / np.sqrt(dim))
+        return cls(np.zeros((n_heads, dim)))
 
 
 def saliency_attention(seq: np.ndarray, params: SaliencyParams) -> np.ndarray:

@@ -87,9 +87,6 @@ class RngStream:
                 f"({self.seed}, {self.stream_id})"
             )
 
-    def substream(self, stream_id: int) -> "RngStream":
-        return RngStream(self.seed, stream_id)
-
     def generator(self) -> np.random.Generator:
         key = np.array(
             [self.seed % (1 << 64), self.stream_id % (1 << 64)], dtype=np.uint64
@@ -317,12 +314,6 @@ class Manifest:
 
     def split_class_ids(self, split: str) -> set[int]:
         return {v.class_id for v in self.videos if v.split == split}
-
-    def class_name(self, class_id: int) -> str:
-        for cid, name in self.classes:
-            if cid == class_id:
-                return name
-        raise KeyError(class_id)
 
     def resolve(self, entry: VideoEntry) -> str:
         """The entry's file path, joined to the manifest root."""

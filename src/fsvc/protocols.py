@@ -74,7 +74,6 @@ STREAM_VAL_EPISODE = 4 << 32
 STREAM_INIT = 5 << 32
 STREAM_BATCH = 6 << 32
 STREAM_PRETRAIN = 7 << 32
-STREAM_ADAPT = 10 << 32
 
 FSVM_MAGIC = b"FSVM"
 FSVM_VERSION = 1
@@ -271,7 +270,7 @@ def _model_from_params(
         base_head = LinearHead(params["head_w"], params["head_b"])
     saliency = None
     if "sal_q" in params:
-        saliency = SaliencyParams(params["sal_q"], 1.0 / np.sqrt(cfg.embed_dim))
+        saliency = SaliencyParams(params["sal_q"])
     return TrainedModel(
         embedding=EmbeddingParams(params["embed_w"], params["embed_b"]),
         base_head=base_head,
@@ -498,6 +497,27 @@ def otam_loss_and_grads(
     return loss, _embedding_grads(dE, frames[rows.ravel()]), paths
 
 
+def episode_loss_and_grads(
+    params: dict[str, np.ndarray],
+    ep: EpisodeArrays,
+    cfg: MethodConfig,
+    paths: list[list[list[tuple[int, int]]]] | None = None,
+) -> tuple[float, dict[str, np.ndarray], list[list[list[tuple[int, int]]]] | None]:
+    """A metric method's episode loss and gradients at named parameter arrays
+    (``embed_w``, ``embed_b``, and ``sal_q`` for cmn-lite), plus otam-lite's
+    alignment paths (None for the other methods), which ``paths`` freezes.
+    """
+    emb = EmbeddingParams(params["embed_w"], params["embed_b"])
+    if cfg.method == "meta-baseline":
+        return (*metabaseline_loss_and_grads(emb, ep, cfg.temperature), None)
+    if cfg.method == "cmn-lite":
+        sal = SaliencyParams(params["sal_q"])
+        return (*cmn_loss_and_grads(emb, sal, ep, cfg.temperature), None)
+    if cfg.method == "otam-lite":
+        return otam_loss_and_grads(emb, ep, cfg.temperature, cfg.dtw_normalize, paths)
+    raise ValidationError(f"{cfg.method!r} is not a metric method")
+
+
 # ---------------------------------------------------------------------------
 # scoring and adaptation
 
@@ -546,7 +566,7 @@ def adapt_and_predict(
     model: TrainedModel,
     episode,
     cfg: MethodConfig,
-    rng: RngStream | np.random.Generator | None = None,
+    rng: RngStream | np.random.Generator,
 ) -> int:
     """Predict the query label of one episode.
 
@@ -559,7 +579,6 @@ def adapt_and_predict(
             f"model was trained for {model.config.method!r}, config says "
             f"{cfg.method!r}"
         )
-    gen = as_generator(rng if rng is not None else RngStream(cfg.seed, STREAM_ADAPT))
     ep = episode_arrays(episode, cfg.n_way)
 
     if cfg.method in METRIC_METHODS:
@@ -575,7 +594,7 @@ def adapt_and_predict(
     q_feat = pooled_embedding(emb, ep.query)
 
     if cfg.method == "baseline":
-        init = init_head(gen, cfg.n_way, emb.out_dim)
+        init = init_head(rng, cfg.n_way, emb.out_dim)
         head = train_head(
             list(zip(sup_feats, sup_labels)), init, cfg.iters_adapt, cfg.lr_adapt
         )
@@ -623,6 +642,43 @@ def _val_accuracy(model: TrainedModel, cfg: MethodConfig, val_data) -> float:
     return correct / cfg.val_episodes
 
 
+def _fit(
+    cfg: MethodConfig,
+    params: dict[str, np.ndarray],
+    grads_at,
+    stops: list[int],
+    patience: float,
+    val_data,
+) -> TrainedModel:
+    """Adam on named parameters, one ``grads_at(params)`` per step, with the
+    parameters frozen into a model and validated once the step count reaches
+    each of ``stops``.  A model is kept only if its accuracy beats the best so
+    far, so the earliest of equals wins; ``patience`` validations in a row
+    without a keep end training.  With no val data (None or an empty split)
+    the final parameters are returned.
+    """
+    state = AdamState.for_params(params, cfg.resolved_lr_base())
+    best: TrainedModel | None = None
+    best_acc = -1.0
+    stale = 0
+    for stop in stops:
+        for _ in range(stop - state.step):
+            params = adam_step(state, params, grads_at(params))
+        if val_data is None or not val_data.class_ids:
+            continue
+        model = _model_from_params(params, cfg)
+        acc = _val_accuracy(model, cfg, val_data)
+        if acc > best_acc:
+            best_acc = acc
+            best = model
+            stale = 0
+        else:
+            stale += 1
+            if stale >= patience:
+                break
+    return best if best is not None else _model_from_params(params, cfg)
+
+
 def train_classification(
     manifest: Manifest,
     cfg: MethodConfig,
@@ -634,8 +690,9 @@ def train_classification(
 
     Mini-batch cross-entropy over the train split; for baseline-plus an
     inverted-dropout mask sits between the pooled embedding and the head.
-    The returned model is the checkpoint with the best validation-episode
-    accuracy (falling back to the final step when selection is disabled).
+    Validation runs every ``val_every`` steps and after the last step, and
+    never stops training early.  The returned model is the one with the best
+    validation-episode accuracy (the final step when selection is disabled).
     """
     from . import harness
 
@@ -658,38 +715,26 @@ def train_classification(
         "head_w": np.array(head.weight),
         "head_b": np.array(head.bias),
     }
-    state = AdamState.for_params(params, cfg.resolved_lr_base())
     gen = RngStream(cfg.seed, stream_base + STREAM_BATCH).generator()
     use_dropout = cfg.method == "baseline-plus" and cfg.dropout_p > 0.0
-
-    val_data = None
-    if select_by_val:
-        val_data = harness.load_split(manifest, "val")
-        if not val_data.class_ids:
-            val_data = None
-
-    best: TrainedModel | None = None
-    best_acc = -1.0
     batch = min(cfg.batch_size, n_samples)
-    for step in range(1, cfg.train_steps + 1):
+
+    def grads_at(p: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         idx = gen.choice(n_samples, size=batch, replace=False)
         mask = None
         if use_dropout:
             mask = dropout_mask(gen, cfg.dropout_p, (batch, cfg.embed_dim))
-        model = _model_from_params(params, cfg)
-        _, grads = classification_loss_and_grads(
-            model.embedding, model.base_head, frames[idx], labels[idx], mask
-        )
-        params = adam_step(state, params, grads)
-        if val_data is not None and (
-            step % cfg.val_every == 0 or step == cfg.train_steps
-        ):
-            model = _model_from_params(params, cfg)
-            acc = _val_accuracy(model, cfg, val_data)
-            if acc > best_acc:
-                best_acc = acc
-                best = model
-    return best if best is not None else _model_from_params(params, cfg)
+        return classification_loss_and_grads(
+            EmbeddingParams(p["embed_w"], p["embed_b"]),
+            LinearHead(p["head_w"], p["head_b"]),
+            frames[idx],
+            labels[idx],
+            mask,
+        )[1]
+
+    stops = [*range(cfg.val_every, cfg.train_steps, cfg.val_every), cfg.train_steps]
+    val_data = harness.load_split(manifest, "val") if select_by_val else None
+    return _fit(cfg, params, grads_at, stops, math.inf, val_data)
 
 
 def meta_train(
@@ -699,14 +744,12 @@ def meta_train(
 ) -> TrainedModel:
     """Episodic training of a metric method on the train split.
 
-    Runs fixed-size epochs of sampled episodes, checks validation-episode
-    accuracy after each, keeps the best checkpoint, and stops early when
-    accuracy has not improved for ``patience`` epochs.
+    Runs epochs of ``episodes_per_epoch`` sampled episodes, checks
+    validation-episode accuracy after each, keeps the best model, and stops
+    early when accuracy has not improved for ``patience`` epochs.
     """
     from . import harness
 
-    if cfg.method not in METRIC_METHODS:
-        raise ValidationError(f"meta_train expects a metric method, got {cfg.method!r}")
     train_data = harness.load_split(manifest, "train")
     if len(train_data.class_ids) < cfg.n_way:
         raise ValidationError(
@@ -719,50 +762,17 @@ def meta_train(
     )
     params = {"embed_w": np.array(emb.weight), "embed_b": np.array(emb.bias)}
     if cfg.method == "cmn-lite":
-        sal = SaliencyParams.zeros(cfg.saliency_heads, cfg.embed_dim)
-        params["sal_q"] = np.array(sal.queries)
-    state = AdamState.for_params(params, cfg.resolved_lr_base())
-
-    val_data = harness.load_split(manifest, "val")
-    if not val_data.class_ids:
-        val_data = None
-
-    best: TrainedModel | None = None
-    best_acc = -1.0
-    stale = 0
+        params["sal_q"] = np.zeros((cfg.saliency_heads, cfg.embed_dim))
     streams = _stream_generators(cfg.seed, count(STREAM_TRAIN_EPISODE))
-    for _ in range(cfg.max_epochs):
-        for _ in range(cfg.episodes_per_epoch):
-            gen = next(streams)
-            episode = harness.sample_episode(train_data, cfg.n_way, cfg.k_shot, gen)
-            ep = episode_arrays(episode, cfg.n_way)
-            model = _model_from_params(params, cfg)
-            if cfg.method == "meta-baseline":
-                _, grads = metabaseline_loss_and_grads(
-                    model.embedding, ep, cfg.temperature
-                )
-            elif cfg.method == "cmn-lite":
-                _, grads = cmn_loss_and_grads(
-                    model.embedding, model.saliency, ep, cfg.temperature
-                )
-            else:
-                _, grads, _ = otam_loss_and_grads(
-                    model.embedding, ep, cfg.temperature, normalize=cfg.dtw_normalize
-                )
-            params = adam_step(state, params, grads)
-        if val_data is None:
-            continue
-        model = _model_from_params(params, cfg)
-        acc = _val_accuracy(model, cfg, val_data)
-        if acc > best_acc:
-            best_acc = acc
-            best = model
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    return best if best is not None else _model_from_params(params, cfg)
+
+    def grads_at(p: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        gen = next(streams)
+        episode = harness.sample_episode(train_data, cfg.n_way, cfg.k_shot, gen)
+        return episode_loss_and_grads(p, episode_arrays(episode, cfg.n_way), cfg)[1]
+
+    stops = [cfg.episodes_per_epoch * e for e in range(1, cfg.max_epochs + 1)]
+    val_data = harness.load_split(manifest, "val")
+    return _fit(cfg, params, grads_at, stops, cfg.patience, val_data)
 
 
 def pretrain_embedding(
@@ -790,6 +800,11 @@ def pretrain_embedding(
             )
         return init_embedding(RngStream(cfg.seed, STREAM_INIT), cfg.embed_dim, dim)
     if benchmark is not None:
+        if pretrain_manifest.feature_dim != benchmark.feature_dim:
+            raise ValidationError(
+                f"pretraining features are {pretrain_manifest.feature_dim} wide, "
+                f"the benchmark's {benchmark.feature_dim}"
+            )
         pre_ids = {cid for cid, _ in pretrain_manifest.classes}
         bench_ids = {cid for cid, _ in benchmark.classes}
         shared = sorted(pre_ids & bench_ids)

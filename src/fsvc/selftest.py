@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .align import SaliencyParams, cosine, dtw, dtw_bruteforce, path_cost, validate_path
+from .align import cosine, dtw, dtw_bruteforce, path_cost, validate_path
 from .core import FeatureSequence, RngStream
 from .harness import Episode
 from .heads import LinearHead, dropout_mask, linear_forward
@@ -22,11 +22,9 @@ from .protocols import (
     TrainedModel,
     adapt_and_predict,
     classification_loss_and_grads,
-    cmn_loss_and_grads,
+    episode_loss_and_grads,
     init_embedding,
     init_head,
-    metabaseline_loss_and_grads,
-    otam_loss_and_grads,
     pooled_embedding,
 )
 
@@ -96,74 +94,28 @@ def _grad_case(kind: str, gen: np.random.Generator) -> float:
         params["head_w"] = np.array(head.weight)
         params["head_b"] = np.array(head.bias)
 
-        def loss_fn(p):
+        def loss_and_grads(p):
             return classification_loss_and_grads(
                 EmbeddingParams(p["embed_w"], p["embed_b"]),
                 LinearHead(p["head_w"], p["head_b"]),
                 frames,
                 labels,
                 mask,
-            )[0]
+            )
 
-        _, grads = classification_loss_and_grads(
-            EmbeddingParams(params["embed_w"], params["embed_b"]),
-            LinearHead(params["head_w"], params["head_b"]),
-            frames,
-            labels,
-            mask,
-        )
-        return max_fd_error(loss_fn, params, grads, gen)
+        _, grads = loss_and_grads(params)
+    else:
+        cfg = MethodConfig(method=kind, temperature=tau)
+        ep = _random_episode_arrays(gen, c_in=c_in)
+        if kind == "cmn-lite":
+            params["sal_q"] = 0.5 * gen.standard_normal((3, c))
+        # otam-lite's alignment paths stay frozen at the unperturbed optimum
+        _, grads, paths = episode_loss_and_grads(params, ep, cfg)
 
-    ep = _random_episode_arrays(gen, c_in=c_in)
+        def loss_and_grads(p):
+            return episode_loss_and_grads(p, ep, cfg, paths)
 
-    if kind == "meta-baseline":
-
-        def loss_fn(p):
-            return metabaseline_loss_and_grads(
-                EmbeddingParams(p["embed_w"], p["embed_b"]), ep, tau
-            )[0]
-
-        _, grads = metabaseline_loss_and_grads(
-            EmbeddingParams(params["embed_w"], params["embed_b"]), ep, tau
-        )
-        return max_fd_error(loss_fn, params, grads, gen)
-
-    if kind == "cmn-lite":
-        params["sal_q"] = 0.5 * gen.standard_normal((3, c))
-        scale = 1.0 / np.sqrt(c)
-
-        def loss_fn(p):
-            return cmn_loss_and_grads(
-                EmbeddingParams(p["embed_w"], p["embed_b"]),
-                SaliencyParams(p["sal_q"], scale),
-                ep,
-                tau,
-            )[0]
-
-        _, grads = cmn_loss_and_grads(
-            EmbeddingParams(params["embed_w"], params["embed_b"]),
-            SaliencyParams(params["sal_q"], scale),
-            ep,
-            tau,
-        )
-        return max_fd_error(loss_fn, params, grads, gen)
-
-    if kind == "otam-lite":
-        _, grads, paths = otam_loss_and_grads(
-            EmbeddingParams(params["embed_w"], params["embed_b"]), ep, tau
-        )
-
-        def loss_fn(p):  # alignment paths frozen at the unperturbed optimum
-            return otam_loss_and_grads(
-                EmbeddingParams(p["embed_w"], p["embed_b"]),
-                ep,
-                tau,
-                paths=paths,
-            )[0]
-
-        return max_fd_error(loss_fn, params, grads, gen)
-
-    raise ValueError(kind)
+    return max_fd_error(lambda p: loss_and_grads(p)[0], params, grads, gen)
 
 
 def check_gradients(

@@ -222,7 +222,7 @@ def test_multi_saliency_zero_queries_is_mean_pool():
 def test_multi_saliency_single_frame():
     gen = RngStream(17, 0).generator()
     seq = gen.standard_normal((1, 4))
-    params = SaliencyParams(gen.standard_normal((2, 4)), 0.5)
+    params = SaliencyParams(gen.standard_normal((2, 4)))
     desc = multi_saliency(seq, params)
     assert np.allclose(desc, np.vstack([seq[0], seq[0]]))
 
@@ -230,7 +230,7 @@ def test_multi_saliency_single_frame():
 def test_multi_saliency_saturates_to_one_frame():
     seq = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     # large query along e1 concentrates all attention on frame 0
-    params = SaliencyParams(np.array([[1e6, 0.0]]), 1.0 / np.sqrt(2))
+    params = SaliencyParams(np.array([[1e6, 0.0]]))
     desc = multi_saliency(seq, params)
     assert np.allclose(desc[0], seq[0], atol=1e-9)
 
@@ -239,7 +239,7 @@ def test_saliency_attention_rows_sum_to_one():
     gen = RngStream(18, 0).generator()
     for _ in range(20):
         seq = gen.standard_normal((7, 6))
-        params = SaliencyParams(gen.standard_normal((4, 6)), 1.0 / np.sqrt(6))
+        params = SaliencyParams(gen.standard_normal((4, 6)))
         att = saliency_attention(seq, params)
         assert np.allclose(att.sum(axis=0), 1.0, atol=1e-12)
         assert np.all(att >= 0)
@@ -248,7 +248,7 @@ def test_saliency_attention_rows_sum_to_one():
 def test_saliency_attention_on_a_stack_matches_each_video():
     gen = RngStream(19, 0).generator()
     stack = gen.standard_normal((3, 7, 6))
-    params = SaliencyParams(gen.standard_normal((4, 6)), 1.0 / np.sqrt(6))
+    params = SaliencyParams(gen.standard_normal((4, 6)))
     att = saliency_attention(stack, params)
     for v in range(len(stack)):
         assert np.array_equal(att[v], saliency_attention(stack[v], params))

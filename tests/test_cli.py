@@ -199,6 +199,26 @@ def test_eval_rejects_checkpoint_of_other_feature_dim(bench_dir):
     assert not (bench_dir / "never.json").exists()
 
 
+@pytest.mark.parametrize("method", ["baseline", "meta-baseline"])
+def test_train_rejects_pretraining_of_other_feature_dim(bench_dir, method):
+    spec_path = bench_dir / "spec7.json"
+    spec_path.write_text(json.dumps(dict(SPEC, feature_dim=7)))
+    assert main(["gen", "--spec", str(spec_path), "--out", str(bench_dir / "dim7")]) == 0
+    out = bench_dir / f"{method}-dim7.fsvm"
+    proc = _run_cli(
+        "train", "--method", method,
+        "--manifest", str(bench_dir / "bench" / "manifest.json"),
+        "--init", "pretrained",
+        "--pretrain-manifest", str(bench_dir / "dim7" / "pretrain_manifest.json"),
+        "--out", str(out), *FAST_TRAIN,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "7 wide" in proc.stderr and "10" in proc.stderr
+    assert not out.exists()
+
+
 def test_gen_spec_with_missing_fields_is_clean_error(tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"seed": 1}))

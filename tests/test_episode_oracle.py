@@ -99,9 +99,7 @@ def random_models(case, rs: np.random.Generator):
     emb = EmbeddingParams(
         rs.standard_normal((dim, in_dim)), rs.standard_normal(dim)
     )
-    sal = SaliencyParams(
-        rs.standard_normal((case["heads"], dim)), 1.0 / np.sqrt(dim)
-    )
+    sal = SaliencyParams(rs.standard_normal((case["heads"], dim)))
     for method in protocols.METRIC_METHODS:
         cfg = MethodConfig(
             method=method,

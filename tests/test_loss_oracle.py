@@ -75,7 +75,7 @@ def test_metabaseline_matches_oracle(case, tau):
 def test_cmn_matches_oracle(case, n_heads, q_scale):
     emb, ep, gen = case
     c = emb.out_dim
-    sal = SaliencyParams(q_scale * gen.standard_normal((n_heads, c)), 1.0 / np.sqrt(c))
+    sal = SaliencyParams(q_scale * gen.standard_normal((n_heads, c)))
     assert_matches(
         protocols.cmn_loss_and_grads(emb, sal, ep, 10.0),
         oracle.cmn_loss_and_grads(emb, sal, ep, 10.0),

@@ -217,17 +217,16 @@ def test_cmn_gradient_matches_fd():
             "embed_b": np.array(emb.bias),
             "sal_q": sal_q.copy(),
         }
-        scale = 0.5
 
         def loss_fn(p):
             return cmn_loss_and_grads(
                 EmbeddingParams(p["embed_w"], p["embed_b"]),
-                SaliencyParams(p["sal_q"], scale),
+                SaliencyParams(p["sal_q"]),
                 ep,
                 7.0,
             )[0]
 
-        _, grads = cmn_loss_and_grads(emb, SaliencyParams(sal_q, scale), ep, 7.0)
+        _, grads = cmn_loss_and_grads(emb, SaliencyParams(sal_q), ep, 7.0)
         assert max_fd_error(loss_fn, params, grads, gen) < GRAD_TOL
 
 
@@ -411,6 +410,117 @@ def test_meta_train_runs_and_keeps_components(bench):
         assert (model.saliency is not None) == (method == "cmn-lite")
 
 
+# ---------------------------------------------------------------------------
+# training schedule: when validation fires and which parameters are kept
+
+
+@pytest.fixture(scope="module")
+def bench_no_val(tmp_path_factory):
+    spec = GeneratorSpec(
+        n_train_classes=5,
+        n_val_classes=0,
+        n_test_classes=2,
+        videos_per_class=4,
+        feature_dim=12,
+        frame_count=6,
+        prototype_len=16,
+        noise_sigma=0.15,
+        warp_strength=0.2,
+        seed=4,
+    )
+    return gen_benchmark(spec, tmp_path_factory.mktemp("no_val"))
+
+
+@pytest.fixture
+def scripted_schedule(monkeypatch):
+    """Record the parameters after every Adam step and, at each validation,
+    the step it followed; validation returns ``accs`` in order."""
+    from fsvc import protocols
+
+    record = {"params": [], "val_steps": [], "accs": []}
+    real_adam_step = protocols.adam_step
+
+    def counting_adam_step(state, params, grads):
+        out = real_adam_step(state, params, grads)
+        assert state.step == len(record["params"]) + 1
+        record["params"].append(out)
+        return out
+
+    def scripted_val_accuracy(model, cfg, val_data):
+        record["val_steps"].append(len(record["params"]))
+        return record["accs"][len(record["val_steps"]) - 1]
+
+    monkeypatch.setattr(protocols, "adam_step", counting_adam_step)
+    monkeypatch.setattr(protocols, "_val_accuracy", scripted_val_accuracy)
+    return record
+
+
+def _is_model_after(model, record, step):
+    params = record["params"][step - 1]
+    return np.array_equal(model.embedding.weight, params["embed_w"]) and (
+        np.array_equal(model.embedding.bias, params["embed_b"])
+    )
+
+
+@pytest.mark.parametrize(
+    "accs, kept",
+    [
+        ([0.2, 0.6, 0.4], 20),
+        ([0.5, 0.5, 0.3], 10),  # a tie keeps the earlier model
+        ([0.1, 0.2, 0.9], 25),
+    ],
+)
+def test_classification_validates_each_block_and_keeps_best(
+    bench, scripted_schedule, accs, kept
+):
+    manifest, _ = bench
+    scripted_schedule["accs"] = accs
+    cfg = _fast_cfg("baseline-plus", train_steps=25, val_every=10)
+    model = train_classification(manifest, cfg)
+    assert scripted_schedule["val_steps"] == [10, 20, 25]
+    assert len(scripted_schedule["params"]) == 25
+    assert _is_model_after(model, scripted_schedule, kept)
+    params = scripted_schedule["params"][kept - 1]
+    assert np.array_equal(model.base_head.weight, params["head_w"])
+    assert np.array_equal(model.base_head.bias, params["head_b"])
+
+
+def test_classification_without_selection_returns_final(bench, scripted_schedule):
+    manifest, _ = bench
+    cfg = _fast_cfg("baseline", train_steps=25, val_every=10)
+    model = train_classification(manifest, cfg, select_by_val=False)
+    assert scripted_schedule["val_steps"] == []
+    assert len(scripted_schedule["params"]) == 25
+    assert _is_model_after(model, scripted_schedule, 25)
+
+
+def test_meta_train_stops_after_patience_epochs(bench, scripted_schedule):
+    manifest, _ = bench
+    scripted_schedule["accs"] = [0.4, 0.6, 0.6, 0.5, 0.9, 0.9]
+    cfg = _fast_cfg(
+        "cmn-lite", episodes_per_epoch=3, max_epochs=6, patience=2
+    )
+    model = meta_train(manifest, cfg)
+    # epoch 2 is the best; epochs 3 and 4 do not beat it, so training stops
+    assert scripted_schedule["val_steps"] == [3, 6, 9, 12]
+    assert len(scripted_schedule["params"]) == 12
+    assert _is_model_after(model, scripted_schedule, 6)
+    assert np.array_equal(
+        model.saliency.queries, scripted_schedule["params"][5]["sal_q"]
+    )
+
+
+@pytest.mark.parametrize("method", ["baseline", "meta-baseline"])
+def test_empty_val_split_returns_final(bench_no_val, scripted_schedule, method):
+    cfg = _fast_cfg(method, train_steps=25, val_every=10, episodes_per_epoch=3)
+    train = train_classification if method in CLASSIFIER_METHODS else meta_train
+    model = train(bench_no_val, cfg)
+    steps = 25 if method in CLASSIFIER_METHODS else 3 * cfg.max_epochs
+    assert scripted_schedule["val_steps"] == []
+    assert len(scripted_schedule["params"]) == steps
+    assert _is_model_after(model, scripted_schedule, steps)
+
+
 def test_adaptation_never_mutates_model(bench):
     manifest, _ = bench
     data = load_split(manifest, "test")
@@ -435,7 +545,7 @@ def test_adapt_rejects_support_label_beyond_n_way(bench, method):
     model = TrainedModel(emb, head, None, cfg)
     message = r"support label [34] out of range for n_way=3"
     with pytest.raises(ValidationError, match=message):
-        adapt_and_predict(model, episode, cfg)
+        adapt_and_predict(model, episode, cfg, rng=RngStream(8, 1))
 
 
 def test_episode_arrays_rejects_negative_label():
@@ -575,11 +685,7 @@ def _small_model(method):
     gen = np.random.default_rng(1)
     cfg = _fast_cfg(method, embed_dim=3, saliency_heads=2)
     head = init_head(gen, 4, 3) if method in CLASSIFIER_METHODS else None
-    sal = (
-        SaliencyParams(gen.standard_normal((2, 3)), 1.0 / np.sqrt(3))
-        if method == "cmn-lite"
-        else None
-    )
+    sal = SaliencyParams(gen.standard_normal((2, 3))) if method == "cmn-lite" else None
     return TrainedModel(init_embedding(gen, 3, 2), head, sal, cfg)
 
 
