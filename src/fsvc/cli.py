@@ -40,13 +40,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_splits(args: argparse.Namespace) -> int:
-    counts = [int(x) for x in args.classes.split(",")]
+    try:
+        counts = [int(x) for x in args.classes.split(",")]
+    except ValueError:
+        counts = []
     if len(counts) != 3:
         raise FsvcError(f"--classes wants train,val,test counts, got {args.classes!r}")
     manifest = load_manifest(args.manifest)
-    result = build_splits(
-        manifest, counts[0], counts[1], counts[2], cap=args.cap, seed=args.seed
-    )
+    result = build_splits(manifest, *counts, cap=args.cap, seed=args.seed)
     out = Path(args.out)
     result = rebase_manifest(result, out.parent)
     save_manifest(result, out)

@@ -106,16 +106,18 @@ def load_split(manifest: Manifest, split: str) -> SplitData:
     return SplitData(class_ids=class_ids, by_class=by_class)
 
 
-def _check_capacity(data: SplitData, n_way: int, k_shot: int) -> None:
+def _check_capacity(
+    data: SplitData, n_way: int, k_shot: int, split: str = "split"
+) -> None:
     if len(data.class_ids) < n_way:
         raise CapacityError(
-            f"split has {len(data.class_ids)} classes, need {n_way}"
+            f"{split} has {len(data.class_ids)} classes, need {n_way}"
         )
     for cid in data.class_ids:
         have = len(data.by_class[cid])
         if have < k_shot + 1:
             raise CapacityError(
-                f"class {cid} has {have} videos, need {k_shot + 1} "
+                f"class {cid} of the {split} has {have} videos, need {k_shot + 1} "
                 f"({k_shot} supports plus a query candidate)"
             )
 
@@ -314,6 +316,12 @@ def build_splits(
     videos kept per class (a deterministic per-class subsample), which is how
     a scarce-base-data benchmark is carved out of an abundant one.
     """
+    if min(n_train, n_val, n_test) < 0:
+        raise ValidationError(
+            f"class counts must be >= 0, got {n_train}/{n_val}/{n_test}"
+        )
+    if cap is not None and cap < 1:
+        raise ValidationError(f"cap must be >= 1, got {cap}")
     all_ids = sorted(cid for cid, _ in manifest.classes)
     need = n_train + n_val + n_test
     if len(all_ids) < need:

@@ -276,26 +276,40 @@ def adam_step(
     return out
 
 
-def imprint(
-    support_logits: list[tuple[np.ndarray, int]], n_way: int
-) -> LinearHead:
-    """Novel head initialized from support logits.
+def _support_arrays(
+    features: np.ndarray, labels: np.ndarray, n_way: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A support set as an (N, D) float matrix and (N,) class indices that
+    cover classes 0..n_way-1 and no others."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.intp)
+    if x.ndim != 2 or y.shape != x.shape[:1]:
+        raise ShapeError(
+            f"support features {x.shape} and labels {y.shape} are not an "
+            f"(N, D) / (N,) pair"
+        )
+    if not len(y):
+        raise CoverageError("empty support set")
+    bad = y[(y < 0) | (y >= n_way)]
+    if bad.size:
+        raise ValidationError(f"class index {bad[0]} out of range for {n_way}-way")
+    missing = np.flatnonzero(np.bincount(y, minlength=n_way) == 0).tolist()
+    if missing:
+        raise CoverageError(f"no support rows for class(es) {missing}")
+    return x, y
 
-    Row k is the L2-normalized mean of class k's logit vectors (for one shot,
+
+def imprint(logits: np.ndarray, labels: np.ndarray, n_way: int) -> LinearHead:
+    """Novel head initialized from (N, K) support logits with (N,) labels.
+
+    Row k is the L2-normalized mean of class k's logit rows (for one shot,
     just the normalized logits); the bias starts at zero.  Rows act as class
     templates: a query scores highest on the template it is most similar to.
     """
-    if n_way < 1:
-        raise ValidationError("n_way must be >= 1")
-    groups: list[list[np.ndarray]] = [[] for _ in range(n_way)]
-    for z, k in support_logits:
-        if not 0 <= k < n_way:
-            raise ValidationError(f"class index {k} out of range for {n_way}-way")
-        groups[k].append(np.asarray(z, dtype=np.float64))
+    z, y = _support_arrays(logits, labels, n_way)
     rows = []
-    for k, zs in enumerate(groups):
-        if not zs:
-            raise CoverageError(f"class {k} has no support logits to imprint")
+    for k in range(n_way):
+        zs = z[y == k]
         # np.mean's and np.linalg.norm's arithmetic, without their wrappers
         mean = _sum_reduce(zs, 0) / len(zs)
         norm = math.sqrt(mean.dot(mean))
@@ -304,46 +318,33 @@ def imprint(
                 f"class {k}: mean support logits have zero norm"
             )
         rows.append(mean / norm)
-    w = np.stack(rows)
-    return LinearHead(w, np.zeros(n_way))
+    return LinearHead(np.stack(rows), np.zeros(n_way))
 
 
 def train_head(
-    features: list[tuple[np.ndarray, int]],
+    features: np.ndarray,
+    labels: np.ndarray,
     init: LinearHead,
     iters: int,
     lr: float,
 ) -> LinearHead:
     """Full-batch Adam on mean cross-entropy for exactly ``iters`` steps.
 
-    Deterministic in (features, init): no randomness is drawn.  The labels
-    become a one-hot matrix that is subtracted from the softmax, and every
-    step runs in buffers allocated once before the loop; the result is
-    bitwise equal to the plain loop kept in ``tests/scalar_oracle.py``.
+    Deterministic in the (N, D) ``features``, (N,) ``labels`` and ``init``:
+    no randomness is drawn.  The labels become a one-hot matrix that is
+    subtracted from the softmax, and every step runs in buffers allocated
+    once before the loop; the result is bitwise equal to the plain loop kept
+    in ``tests/scalar_oracle.py``.
     """
     if iters < 0:
         raise ValidationError("iters must be >= 0")
-    if not features:
-        raise CoverageError("empty feature set")
-    try:
-        x = np.stack([np.asarray(f, dtype=np.float64) for f, _ in features])
-    except ValueError as exc:
-        raise ShapeError(f"feature vectors differ in shape: {exc}") from exc
-    if x.ndim != 2:
-        raise ShapeError(f"features must be vectors, got shape {x.shape[1:]}")
-    y = np.array([lab for _, lab in features], dtype=np.intp)
-    n, d = x.shape
     k = init.n_out
+    x, y = _support_arrays(features, labels, k)
+    n, d = x.shape
     if d != init.in_dim:
         raise ShapeError(
             f"feature dim {d} does not match head input dim {init.in_dim}"
         )
-    bad = y[(y < 0) | (y >= k)]
-    if bad.size:
-        raise ValidationError(f"class index {bad[0]} out of range for {k}-way")
-    missing = np.flatnonzero(np.bincount(y, minlength=k) == 0).tolist()
-    if missing:
-        raise CoverageError(f"no samples for class(es) {missing}")
     if iters == 0:
         return init
 

@@ -249,13 +249,8 @@ class TrainedModel:
     def weight_digest(self) -> str:
         """Hash of all parameter bytes; adaptation must never change it."""
         h = hashlib.sha256()
-        h.update(self.embedding.weight.tobytes())
-        h.update(self.embedding.bias.tobytes())
-        if self.base_head is not None:
-            h.update(self.base_head.weight.tobytes())
-            h.update(self.base_head.bias.tobytes())
-        if self.saliency is not None:
-            h.update(self.saliency.queries.tobytes())
+        for _, arr in _model_blocks(self):
+            h.update(arr.tobytes())
         return h.hexdigest()
 
 
@@ -585,32 +580,25 @@ def adapt_and_predict(
         return int(method_scores(model, ep, cfg).argmax())
 
     emb = model.embedding
-    sup_feats = []
-    sup_labels = []
-    for c, frames_c in enumerate(ep.support):
-        for pooled in pooled_embedding(emb, frames_c):
-            sup_feats.append(pooled)
-            sup_labels.append(c)
+    feats = np.concatenate([pooled_embedding(emb, f) for f in ep.support])
+    labels = np.repeat(np.arange(cfg.n_way), [len(f) for f in ep.support])
     q_feat = pooled_embedding(emb, ep.query)
 
     if cfg.method == "baseline":
         init = init_head(rng, cfg.n_way, emb.out_dim)
-        head = train_head(
-            list(zip(sup_feats, sup_labels)), init, cfg.iters_adapt, cfg.lr_adapt
-        )
+        head = train_head(feats, labels, init, cfg.iters_adapt, cfg.lr_adapt)
         return int(np.argmax(linear_forward(head, q_feat)))
 
     # baseline-plus: features are frozen base-head logits.  The query's
-    # linear_forward checks the width every support row shares; each row then
-    # gets its own product as linear_forward would give it, since a batched
-    # (N, D) @ W.T rounds differently from N matrix-vector products.
+    # linear_forward checks the width every support row shares.  The stacked
+    # (N, 1, D) product gives each row the bits of linear_forward's vector
+    # product; a flat (N, D) @ W.T rounds differently.
     base = model.base_head
     q_logits = linear_forward(base, q_feat)
-    w_t, b = base.weight.T, base.bias
-    support = list(zip([f @ w_t + b for f in sup_feats], sup_labels))
-    novel = imprint(support, cfg.n_way)
+    logits = (feats[:, None] @ base.weight.T)[:, 0] + base.bias
+    novel = imprint(logits, labels, cfg.n_way)
     if cfg.iters_adapt > 0:
-        novel = train_head(support, novel, cfg.iters_adapt, cfg.lr_adapt)
+        novel = train_head(logits, labels, novel, cfg.iters_adapt, cfg.lr_adapt)
     return int(np.argmax(linear_forward(novel, q_logits)))
 
 
@@ -655,8 +643,14 @@ def _fit(
     each of ``stops``.  A model is kept only if its accuracy beats the best so
     far, so the earliest of equals wins; ``patience`` validations in a row
     without a keep end training.  With no val data (None or an empty split)
-    the final parameters are returned.
+    the final parameters are returned; otherwise a val split that cannot
+    supply an episode is an error before the first step.
     """
+    from . import harness
+
+    validate = val_data is not None and bool(val_data.class_ids)
+    if validate:
+        harness._check_capacity(val_data, cfg.n_way, cfg.k_shot, "val split")
     state = AdamState.for_params(params, cfg.resolved_lr_base())
     best: TrainedModel | None = None
     best_acc = -1.0
@@ -664,7 +658,7 @@ def _fit(
     for stop in stops:
         for _ in range(stop - state.step):
             params = adam_step(state, params, grads_at(params))
-        if val_data is None or not val_data.class_ids:
+        if not validate:
             continue
         model = _model_from_params(params, cfg)
         acc = _val_accuracy(model, cfg, val_data)
@@ -779,26 +773,18 @@ def pretrain_embedding(
     pretrain_manifest: Manifest | None,
     cfg: MethodConfig,
     benchmark: Manifest | None = None,
-    feature_dim: int | None = None,
 ) -> EmbeddingParams:
     """Train the embedding by classification on a disjoint pretraining set.
 
-    With no pretraining data this degrades to the random initialization, so
-    the knob is an identity when turned off.  Any class overlap with the
-    benchmark manifest is an error: leakage would defeat the point of a
-    novel-class evaluation.
+    Missing or empty pretraining data is an error, so a model never records
+    ``init: pretrained`` over a random initialization.  Any class overlap
+    with the benchmark manifest is an error too: leakage would defeat the
+    point of a novel-class evaluation.
     """
     if pretrain_manifest is None or not pretrain_manifest.videos:
-        dim = feature_dim
-        if dim is None and benchmark is not None:
-            dim = benchmark.feature_dim
-        if dim is None and pretrain_manifest is not None:
-            dim = pretrain_manifest.feature_dim
-        if dim is None:
-            raise ValidationError(
-                "feature_dim required when no pretraining data is given"
-            )
-        return init_embedding(RngStream(cfg.seed, STREAM_INIT), cfg.embed_dim, dim)
+        raise ValidationError(
+            "init 'pretrained' needs a pretraining manifest with videos"
+        )
     if benchmark is not None:
         if pretrain_manifest.feature_dim != benchmark.feature_dim:
             raise ValidationError(
@@ -843,6 +829,8 @@ def train_model(
 
 
 def _model_blocks(model: TrainedModel) -> list[tuple[str, np.ndarray]]:
+    """Named parameter blocks in checkpoint order; ``weight_digest`` hashes
+    the same arrays."""
     blocks = [
         ("embed.weight", model.embedding.weight),
         ("embed.bias", model.embedding.bias.reshape(-1, 1)),

@@ -67,6 +67,29 @@ def test_splits_command(bench_dir):
     assert len(m.split_class_ids("test")) == 5
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--classes", "a,b,c"], "wants train,val,test counts"),
+        (["--classes", "8,4"], "wants train,val,test counts"),
+        (["--classes=-1,4,5"], "class counts must be >= 0, got -1/4/5"),
+        (["--classes", "8,4,5", "--cap", "-1"], "cap must be >= 1, got -1"),
+        (["--classes", "8,4,5", "--cap", "0"], "cap must be >= 1, got 0"),
+    ],
+)
+def test_splits_rejects_bad_input(bench_dir, argv, message):
+    out = bench_dir / "never-splits.json"
+    proc = _run_cli(
+        "splits", "--manifest", str(bench_dir / "bench" / "manifest.json"),
+        *argv, "--out", str(out),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+    assert not out.exists()
+
+
 def test_train_and_eval_round_trip(bench_dir, capsys):
     manifest = str(bench_dir / "bench" / "manifest.json")
     ckpt = str(bench_dir / "mb.ckpt")
@@ -216,6 +239,20 @@ def test_train_rejects_pretraining_of_other_feature_dim(bench_dir, method):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "7 wide" in proc.stderr and "10" in proc.stderr
+    assert not out.exists()
+
+
+def test_train_pretrained_without_pretraining_manifest_is_clean_error(bench_dir):
+    out = bench_dir / "no-pretrain.fsvm"
+    proc = _run_cli(
+        "train", "--method", "baseline",
+        "--manifest", str(bench_dir / "bench" / "manifest.json"),
+        "--init", "pretrained", "--out", str(out), *FAST_TRAIN,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "pretraining manifest" in proc.stderr
     assert not out.exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from fsvc.core import (
     CoverageError,
+    DegenerateInputError,
     RngStream,
     ShapeError,
     ValidationError,
@@ -171,8 +172,7 @@ def test_adam_shape_mismatch():
 
 
 def test_imprint_orthogonal_templates():
-    logits = [(np.eye(5)[k] * 5.0, k) for k in range(5)]
-    head = imprint(logits, 5)
+    head = imprint(np.eye(5) * 5.0, np.arange(5), 5)
     assert np.allclose(head.weight, np.eye(5))
     assert np.array_equal(head.bias, np.zeros(5))
     for j in range(5):
@@ -182,10 +182,9 @@ def test_imprint_orthogonal_templates():
 
 def test_imprint_multishot_identical_equals_oneshot():
     z = np.array([3.0, -1.0, 2.0])
-    one = imprint([(z, 0), (np.array([1.0, 0, 0]), 1)], 2)
-    five = imprint(
-        [(z, 0)] * 5 + [(np.array([1.0, 0, 0]), 1)], 2
-    )
+    e0 = np.array([1.0, 0, 0])
+    one = imprint(np.stack([z, e0]), np.array([0, 1]), 2)
+    five = imprint(np.stack([z] * 5 + [e0]), np.array([0] * 5 + [1]), 2)
     assert np.allclose(one.weight[0], five.weight[0], atol=1e-12)
 
 
@@ -194,49 +193,72 @@ def test_imprint_rows_unit_norm():
     for _ in range(1000):
         n_way = int(gen.integers(2, 6))
         k = int(gen.integers(1, 4))
-        logits = [
-            (gen.standard_normal(6), c) for c in range(n_way) for _ in range(k)
-        ]
-        head = imprint(logits, n_way)
+        logits = gen.standard_normal((n_way * k, 6))
+        head = imprint(logits, np.repeat(np.arange(n_way), k), n_way)
         norms = np.linalg.norm(head.weight, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-12)
         assert np.array_equal(head.bias, np.zeros(n_way))
 
 
 def test_imprint_missing_class_named():
-    with pytest.raises(CoverageError, match="class 1"):
-        imprint([(np.ones(3), 0), (np.ones(3), 2)], 3)
+    with pytest.raises(CoverageError, match=r"class\(es\) \[1\]"):
+        imprint(np.ones((2, 3)), np.array([0, 2]), 3)
+    with pytest.raises(CoverageError, match="empty"):
+        imprint(np.empty((0, 3)), np.empty(0, dtype=int), 3)
+
+
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_imprint_label_out_of_range_rejected(bad):
+    with pytest.raises(ValidationError, match=f"class index {bad} out of range"):
+        imprint(np.ones((4, 3)), np.array([0, 1, 2, bad]), 3)
+
+
+def test_imprint_zero_norm_mean_rejected():
+    logits = np.array([[1.0, 2.0], [-1.0, -2.0], [0.5, 0.5]])
+    with pytest.raises(DegenerateInputError, match="class 0"):
+        imprint(logits, np.array([0, 0, 1]), 2)
+
+
+@pytest.mark.parametrize(
+    "logits, labels",
+    [
+        (np.ones(3), np.array([0])),
+        (np.ones((2, 1, 3)), np.array([0, 1])),
+        (np.ones((2, 3)), np.array([0, 1, 1])),
+        (np.ones((2, 3)), np.array([[0, 1]])),
+    ],
+    ids=["vector", "rank3", "label-long", "label-matrix"],
+)
+def test_imprint_shape_rejected(logits, labels):
+    with pytest.raises(ShapeError):
+        imprint(logits, labels, 2)
 
 
 def test_train_head_separable_toy_set():
     gen = RngStream(8, 0).generator()
-    feats = []
-    for i in range(20):
-        e1 = np.array([1.0, 0.0, 0.0, 0.0])
-        noise = 0.05 * gen.standard_normal(4)
-        feats.append((e1 + noise, 0) if i % 2 == 0 else (-e1 + noise, 1))
+    e1 = np.array([1.0, 0.0, 0.0, 0.0])
+    y = np.arange(20) % 2
+    x = np.stack([(e1 if c == 0 else -e1) + 0.05 * gen.standard_normal(4) for c in y])
     init = init_head(RngStream(8, 1), 2, 4)
-    head = train_head(feats, init, 100, 1e-3)
-    x = np.stack([f for f, _ in feats])
-    y = np.array([lab for _, lab in feats])
+    head = train_head(x, y, init, 100, 1e-3)
     preds = linear_forward(head, x).argmax(axis=1)
     assert np.array_equal(preds, y)
 
 
 def test_train_head_zero_iters_returns_init():
     init = init_head(RngStream(9, 0), 3, 4)
-    out = train_head([(np.ones(4), c) for c in range(3)], init, 0, 1e-3)
+    out = train_head(np.ones((3, 4)), np.arange(3), init, 0, 1e-3)
     assert np.array_equal(out.weight, init.weight)
     assert np.array_equal(out.bias, init.bias)
 
 
 def test_train_head_bitwise_deterministic():
     gen = RngStream(10, 0).generator()
-    feats = [(gen.standard_normal(5), int(gen.integers(3))) for _ in range(12)]
-    feats += [(np.ones(5), c) for c in range(3)]  # ensure coverage
+    x = np.concatenate([gen.standard_normal((12, 5)), np.ones((3, 5))])
+    y = np.concatenate([gen.integers(3, size=12), np.arange(3)])  # all covered
     init = init_head(RngStream(10, 1), 3, 5)
-    a = train_head(feats, init, 50, 1e-3)
-    b = train_head(feats, init, 50, 1e-3)
+    a = train_head(x, y, init, 50, 1e-3)
+    b = train_head(x, y, init, 50, 1e-3)
     assert np.array_equal(a.weight, b.weight)
     assert np.array_equal(a.bias, b.bias)
 
@@ -244,26 +266,35 @@ def test_train_head_bitwise_deterministic():
 def test_train_head_missing_class_rejected():
     init = init_head(RngStream(11, 0), 3, 4)
     with pytest.raises(CoverageError):
-        train_head([(np.ones(4), 0)], init, 10, 1e-3)
+        train_head(np.ones((1, 4)), np.array([0]), init, 10, 1e-3)
     with pytest.raises(CoverageError):
-        train_head([], init, 10, 1e-3)
+        train_head(np.empty((0, 4)), np.empty(0, dtype=int), init, 10, 1e-3)
 
 
 @pytest.mark.parametrize("bad", [-1, 3, 7])
 def test_train_head_label_out_of_range_rejected(bad):
     init = init_head(RngStream(11, 1), 3, 4)
-    feats = [(np.ones(4), c) for c in range(3)] + [(np.ones(4), bad)]
+    y = np.array([0, 1, 2, bad])
     with pytest.raises(ValidationError, match=f"class index {bad} out of range"):
-        train_head(feats, init, 10, 1e-3)
+        train_head(np.ones((4, 4)), y, init, 10, 1e-3)
 
 
-@pytest.mark.parametrize("second", [np.ones(5), np.ones((1, 4))])
-def test_train_head_ragged_features_rejected(second):
+@pytest.mark.parametrize(
+    "features, labels",
+    [
+        (np.ones(4), np.array([0])),
+        (np.ones((2, 1, 4)), np.array([0, 1])),
+        (np.ones((2, 5)), np.array([0, 1])),  # wider than the head
+        (np.ones((2, 4)), np.array([0])),
+        (np.ones((2, 4)), np.array([0, 1, 1])),
+        (np.ones((2, 4)), np.array([[0, 1]])),
+    ],
+    ids=["vector", "rank3", "wider", "label-short", "label-long", "label-matrix"],
+)
+def test_train_head_shape_rejected(features, labels):
     init = init_head(RngStream(11, 2), 2, 4)
     with pytest.raises(ShapeError):
-        train_head([(np.ones(4), 0), (second, 1)], init, 10, 1e-3)
-    with pytest.raises(ShapeError):
-        train_head([(second, 0), (second, 1)], init, 10, 1e-3)
+        train_head(features, labels, init, 10, 1e-3)
 
 
 def test_train_head_loss_decreases_over_seeds():
@@ -273,17 +304,14 @@ def test_train_head_loss_decreases_over_seeds():
         gen = RngStream(seed, 100).generator()
         e1 = np.zeros(4)
         e1[0] = 1.0
-        feats = [
-            (e1 + 0.05 * gen.standard_normal(4), 0) if i % 2 == 0
-            else (-e1 + 0.05 * gen.standard_normal(4), 1)
-            for i in range(10)
-        ]
-        x = np.stack([f for f, _ in feats])
-        y = np.array([lab for _, lab in feats])
+        y = np.arange(10) % 2
+        x = np.stack(
+            [(e1 if c == 0 else -e1) + 0.05 * gen.standard_normal(4) for c in y]
+        )
         init = init_head(gen, 2, 4)
 
         def mean_loss(head):
             return softmax_xent_batch(linear_forward(head, x), y)[0]
 
-        trained = train_head(feats, init, 100, 1e-3)
+        trained = train_head(x, y, init, 100, 1e-3)
         assert mean_loss(trained) < mean_loss(init)

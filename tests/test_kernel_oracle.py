@@ -4,7 +4,10 @@ Every comparison is bitwise: costs and distances must have the same IEEE
 bytes, paths the same steps, and errors the same type and message.
 """
 
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,13 +200,42 @@ def test_train_head_matches_oracle_bitwise(seed, shots, d, log_scale, iters, log
     # scales up to 1e3 saturate the softmax as base-head logits can
     gen = np.random.default_rng(seed)
     labels = gen.permutation(np.repeat(np.arange(len(shots)), shots))
-    feats = [(10.0**log_scale * gen.standard_normal(d), int(c)) for c in labels]
+    x = 10.0**log_scale * gen.standard_normal((len(labels), d))
+    feats = [(row, int(c)) for row, c in zip(x, labels)]
     init = heads.init_head(gen, len(shots), d)
     lr = 10.0**log_lr
-    got = heads.train_head(feats, init, iters, lr)
+    got = heads.train_head(x, labels, init, iters, lr)
     ref = oracle.train_head(feats, init, iters, lr, 0.0, RngStream(0))
     assert same_bits(got.weight, ref.weight)
     assert same_bits(got.bias, ref.bias)
+
+
+# the numpy behaviour baseline-plus's support logits rest on: a stacked
+# (N, 1, D) @ W.T rounds as the N vector products f @ W.T do, at every
+# OpenBLAS thread count (a flat (N, D) @ W.T does not)
+_STACKED_PRODUCT_CHECK = """
+import numpy as np
+gen = np.random.default_rng(20)
+shapes = [(n, d, k) for n in (1, 25) for d in (1, 80) for k in (1, 64)]
+shapes += [tuple(gen.integers(1, (26, 81, 65)).tolist()) for _ in range(500)]
+for n, d, k in shapes:
+    x = 10.0 ** gen.uniform(-3, 3) * gen.standard_normal((n, d))
+    w = gen.standard_normal((k, d))
+    got = (x[:, None] @ w.T)[:, 0]
+    ref = np.stack([f @ w.T for f in x])
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (n, d, k)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_stacked_row_products_equal_per_row_products(threads):
+    proc = subprocess.run(
+        [sys.executable, "-c", _STACKED_PRODUCT_CHECK],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @SETTINGS

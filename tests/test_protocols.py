@@ -8,6 +8,7 @@ import pytest
 
 from fsvc.align import SaliencyParams
 from fsvc.core import (
+    CapacityError,
     FeatureSequence,
     FormatError,
     LeakageError,
@@ -414,11 +415,10 @@ def test_meta_train_runs_and_keeps_components(bench):
 # training schedule: when validation fires and which parameters are kept
 
 
-@pytest.fixture(scope="module")
-def bench_no_val(tmp_path_factory):
+def _small_bench(tmp_path_factory, n_val_classes):
     spec = GeneratorSpec(
         n_train_classes=5,
-        n_val_classes=0,
+        n_val_classes=n_val_classes,
         n_test_classes=2,
         videos_per_class=4,
         feature_dim=12,
@@ -428,7 +428,17 @@ def bench_no_val(tmp_path_factory):
         warp_strength=0.2,
         seed=4,
     )
-    return gen_benchmark(spec, tmp_path_factory.mktemp("no_val"))
+    return gen_benchmark(spec, tmp_path_factory.mktemp(f"val{n_val_classes}"))
+
+
+@pytest.fixture(scope="module")
+def bench_no_val(tmp_path_factory):
+    return _small_bench(tmp_path_factory, 0)
+
+
+@pytest.fixture(scope="module")
+def bench_small_val(tmp_path_factory):
+    return _small_bench(tmp_path_factory, 3)
 
 
 @pytest.fixture
@@ -521,6 +531,17 @@ def test_empty_val_split_returns_final(bench_no_val, scripted_schedule, method):
     assert _is_model_after(model, scripted_schedule, steps)
 
 
+@pytest.mark.parametrize("method", ["baseline", "meta-baseline"])
+def test_val_split_without_capacity_fails_before_training(
+    bench_small_val, scripted_schedule, method
+):
+    cfg = _fast_cfg(method, train_steps=25, val_every=10, episodes_per_epoch=3)
+    train = train_classification if method in CLASSIFIER_METHODS else meta_train
+    with pytest.raises(CapacityError, match="val split .*3 classes, need 5"):
+        train(bench_small_val, cfg)
+    assert scripted_schedule["params"] == []
+
+
 def test_adaptation_never_mutates_model(bench):
     manifest, _ = bench
     data = load_split(manifest, "test")
@@ -576,11 +597,12 @@ def test_adapt_rejects_method_mismatch(bench):
 # pretraining
 
 
-def test_pretrain_zero_classes_returns_random_init():
+def test_pretrain_without_data_rejected(bench):
+    manifest, pretrain = bench
     cfg = _fast_cfg("baseline")
-    emb = pretrain_embedding(None, cfg, feature_dim=12)
-    expected = init_embedding(RngStream(cfg.seed, 5 << 32), cfg.embed_dim, 12)
-    assert np.array_equal(emb.weight, expected.weight)
+    for data in (None, replace(pretrain, videos=())):
+        with pytest.raises(ValidationError, match="pretraining manifest"):
+            pretrain_embedding(data, cfg, benchmark=manifest)
 
 
 def test_pretrain_deterministic(bench):
