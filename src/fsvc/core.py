@@ -137,7 +137,9 @@ def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
 class FeatureSequence:
     """One video, reduced to a (T, C_in) matrix of per-frame feature vectors.
 
-    Frames are stored as a read-only float64 array; row t is frame t.
+    Frames are stored as a read-only float64 array; row t is frame t.  A
+    read-only, C-contiguous float64 array (a loaded split's row) is kept as
+    given; anything else is copied.
     """
 
     video_id: str
@@ -145,7 +147,15 @@ class FeatureSequence:
     frames: np.ndarray
 
     def __post_init__(self) -> None:
-        frames = np.array(self.frames, dtype=np.float64)
+        frames = self.frames
+        if not (
+            isinstance(frames, np.ndarray)
+            and frames.dtype == np.float64
+            and frames.flags.c_contiguous
+            and not frames.flags.writeable
+        ):
+            frames = np.array(frames, dtype=np.float64)
+            frames.setflags(write=False)
         if frames.ndim != 2 or frames.shape[0] < 1 or frames.shape[1] < 1:
             raise ValidationError(
                 f"sequence {self.video_id!r}: frames must be a (T>=1, C_in>=1) "
@@ -160,7 +170,6 @@ class FeatureSequence:
                 f"sequence {self.video_id!r}: class_id must be >= 0, "
                 f"got {self.class_id}"
             )
-        frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
 
     @property
@@ -215,12 +224,19 @@ def write_feature_file(seq: FeatureSequence, path: str | Path) -> None:
 
 
 def read_feature_file(
-    path: str | Path, video_id: str | None = None, class_id: int = 0
+    path: str | Path,
+    video_id: str | None = None,
+    class_id: int = 0,
+    out: np.ndarray | None = None,
 ) -> FeatureSequence:
     """Read an FSVF file back into a float64 sequence.
 
     Identity fields are not part of the on-disk layout; callers loading
-    through a manifest supply them, otherwise the file stem is used.
+    through a manifest supply them, otherwise the file stem is used.  With
+    ``out``, a writable C-contiguous float64 array, the file's (T, C_in) must
+    equal ``out.shape`` (``ValidationError`` naming the video, before
+    anything is written); the frames are widened into ``out``, which is then
+    made read-only and held by the sequence.
     """
     with open(path, "rb", buffering=0) as f:
         data = f.read()
@@ -242,13 +258,21 @@ def read_feature_file(
             f"{path}: expected {expected} payload bytes for T={t}, "
             f"C_in={c_in}, got {got}"
         )
-    # FeatureSequence makes the one float64 copy; converting here as well
-    # would allocate a second array per video.
+    if video_id is None:
+        video_id = os.path.splitext(os.path.basename(path))[0]
+    # the one float64 copy is made into ``out`` or by FeatureSequence
     frames = np.frombuffer(
         data, dtype="<f4", offset=4 + _FSVF_HEADER.size
     ).reshape(t, c_in)
-    if video_id is None:
-        video_id = os.path.splitext(os.path.basename(path))[0]
+    if out is not None:
+        if out.shape != (t, c_in):
+            raise ValidationError(
+                f"video {video_id!r}: frame count {t} and feature dim {c_in} "
+                f"do not match the expected (T, C_in) {out.shape}"
+            )
+        out[...] = frames
+        out.setflags(write=False)
+        frames = out
     return FeatureSequence(video_id=video_id, class_id=class_id, frames=frames)
 
 
@@ -287,6 +311,24 @@ class Manifest:
         known = {cid for cid, _ in self.classes}
         if len(known) != len(self.classes):
             raise ValidationError("duplicate class_id in class registry")
+        # a video listed twice, or one file under two ids, could be drawn as
+        # both a support and the query of one episode
+        ids = [v.video_id for v in self.videos]
+        files = [os.path.normpath(v.file_path) for v in self.videos]
+        for keys in (ids, files):
+            if len(set(keys)) == len(keys):
+                continue
+            first: dict[str, int] = {}
+            for i, key in enumerate(keys):
+                j = first.setdefault(key, i)
+                if j != i:
+                    v, owner = self.videos[i], self.videos[j]
+                    raise ValidationError(
+                        f"video {v.video_id!r} is listed twice"
+                        if owner.video_id == v.video_id
+                        else f"video {v.video_id!r}: file {v.file_path!r} is "
+                        f"also video {owner.video_id!r}"
+                    )
         for v in self.videos:
             if v.split not in SPLITS:
                 raise ValidationError(
@@ -412,19 +454,19 @@ def rebase_manifest(manifest: Manifest, new_root: str | Path) -> Manifest:
     )
 
 
-def load_sequence(manifest: Manifest, entry: VideoEntry) -> FeatureSequence:
-    """Load one manifest entry, enforcing the manifest-wide T and C_in."""
-    seq = read_feature_file(
-        manifest.resolve(entry), video_id=entry.video_id, class_id=entry.class_id
+def load_sequence(
+    manifest: Manifest, entry: VideoEntry, out: np.ndarray | None = None
+) -> FeatureSequence:
+    """Load one manifest entry, enforcing the manifest-wide T and C_in.
+
+    The frames are widened into ``out``, a (frame_count, feature_dim)
+    float64 row, or into a new array when it is None.
+    """
+    if out is None:
+        out = np.empty((manifest.frame_count, manifest.feature_dim))
+    return read_feature_file(
+        manifest.resolve(entry),
+        video_id=entry.video_id,
+        class_id=entry.class_id,
+        out=out,
     )
-    if seq.frame_count != manifest.frame_count:
-        raise ValidationError(
-            f"video {entry.video_id!r}: frame count {seq.frame_count} does not "
-            f"match manifest frame_count {manifest.frame_count}"
-        )
-    if seq.feature_dim != manifest.feature_dim:
-        raise ValidationError(
-            f"video {entry.video_id!r}: feature dim {seq.feature_dim} does not "
-            f"match manifest feature_dim {manifest.feature_dim}"
-        )
-    return seq

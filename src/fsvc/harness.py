@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -86,24 +87,35 @@ def validate_episode(episode: Episode, n_way: int, k_shot: int) -> None:
 
 @dataclass(frozen=True)
 class SplitData:
-    """One manifest split, fully loaded and grouped by class."""
+    """One manifest split, fully loaded and grouped by class.
+
+    ``frames`` is the split's read-only (N, T, C_in) block, its rows in
+    (class_id, video_id) order, the order of ``by_class``; each sequence's
+    frames are a view of its row, so the split's frames are held once.
+    """
 
     class_ids: tuple[int, ...]
     by_class: dict[int, tuple[FeatureSequence, ...]]
+    frames: np.ndarray
 
 
 def load_split(manifest: Manifest, split: str) -> SplitData:
-    groups: dict[int, list[FeatureSequence]] = {}
-    for entry in manifest.split_videos(split):
-        groups.setdefault(entry.class_id, []).append(
-            load_sequence(manifest, entry)
-        )
-    class_ids = tuple(sorted(groups))
-    by_class = {
-        cid: tuple(sorted(groups[cid], key=lambda s: s.video_id))
-        for cid in class_ids
+    """Read the split's files, in manifest order, each into its row of one
+    float64 block, which is then made read-only."""
+    entries = manifest.split_videos(split)
+    ordered = sorted(entries, key=lambda e: (e.class_id, e.video_id))
+    slot = {e.video_id: s for s, e in enumerate(ordered)}  # ids are unique
+    frames = np.empty((len(entries), manifest.frame_count, manifest.feature_dim))
+    loaded = {
+        e.video_id: load_sequence(manifest, e, out=frames[slot[e.video_id]])
+        for e in entries
     }
-    return SplitData(class_ids=class_ids, by_class=by_class)
+    frames.flags.writeable = False
+    by_class = {
+        cid: tuple(loaded[e.video_id] for e in group)
+        for cid, group in groupby(ordered, key=lambda e: e.class_id)
+    }
+    return SplitData(class_ids=tuple(by_class), by_class=by_class, frames=frames)
 
 
 def _check_capacity(

@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import accumulate, chain, count
 
 import numpy as np
@@ -149,6 +149,21 @@ _SCHEDULE_FIELDS = (
 )
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# MethodConfig field annotation -> (what a value must be, its test); type(),
+# not isinstance, for int and bool, as JSON true and false load as bools
+_FIELD_TYPES = {
+    "str": ("a string", lambda v: type(v) is str),
+    "int": ("an integer", lambda v: type(v) is int),
+    "bool": ("a bool", lambda v: type(v) is bool),
+    "float": ("a real number", _is_real),
+    "float | None": ("a real number or null", lambda v: v is None or _is_real(v)),
+}
+
+
 @dataclass(frozen=True)
 class MethodConfig:
     """Everything needed to train and evaluate one method reproducibly.
@@ -181,6 +196,11 @@ class MethodConfig:
     val_episodes: int = 100
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            kind, ok = _FIELD_TYPES[field.type]
+            value = getattr(self, field.name)
+            if not ok(value):
+                raise ValidationError(f"{field.name} must be {kind}, got {value!r}")
         if self.method not in METHODS:
             raise ValidationError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
@@ -606,16 +626,12 @@ def adapt_and_predict(
 # training
 
 
-def _split_to_arrays(split_data) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Stack a loaded split into (frames, contiguous labels, class id order)."""
-    class_ids = list(split_data.class_ids)
-    frames = []
-    labels = []
-    for local, cid in enumerate(class_ids):
-        for seq in split_data.by_class[cid]:
-            frames.append(seq.frames)
-            labels.append(local)
-    return np.stack(frames), np.array(labels, dtype=np.intp), class_ids
+def _split_to_arrays(split_data) -> tuple[np.ndarray, np.ndarray]:
+    """A loaded split's frames block (itself, not a copy) and each row's
+    index into ``class_ids``."""
+    counts = [len(split_data.by_class[cid]) for cid in split_data.class_ids]
+    labels = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    return split_data.frames, labels
 
 
 def _val_accuracy(model: TrainedModel, cfg: MethodConfig, val_data) -> float:
@@ -691,7 +707,9 @@ def train_classification(
     from . import harness
 
     train_data = harness.load_split(manifest, "train")
-    frames, labels, _ = _split_to_arrays(train_data)
+    if not train_data.class_ids:
+        raise ValidationError("train split has no videos")
+    frames, labels = _split_to_arrays(train_data)
     n_classes = len(train_data.class_ids)
     n_samples = frames.shape[0]
 

@@ -366,3 +366,74 @@ def test_selftest_subcommand_exits_zero():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.count("PASS") == 6
     assert "FAIL" not in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "rename, message",
+    [(None, "is listed twice"), ("dup_v", "is also video")],
+)
+def test_duplicate_manifest_video_is_clean_error(bench_dir, tmp_path, rename, message):
+    doc = json.loads((bench_dir / "bench" / "manifest.json").read_text())
+    row = list(doc["videos"][0])
+    if rename is not None:
+        row[0] = rename  # a new id for the same file
+    doc["videos"].append(row)
+    manifest = bench_dir / "bench" / f"dup_{rename}.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "model.fsvm"
+    proc = _run_cli(
+        "train", "--method", "baseline", "--manifest", str(manifest), "--out", str(out)
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr and repr(row[0]) in proc.stderr
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def baseline_ckpt(bench_dir):
+    from fsvc.heads import init_head
+    from fsvc.protocols import MethodConfig, TrainedModel, init_embedding, save_checkpoint
+
+    path = bench_dir / "untrained-baseline.fsvm"
+    gen = np.random.default_rng(0)
+    emb = init_embedding(gen, 8, SPEC["feature_dim"])
+    head = init_head(gen, SPEC["n_train_classes"], 8)
+    save_checkpoint(TrainedModel(emb, head, None, MethodConfig("baseline", embed_dim=8)), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("iters_adapt", 1.5, "an integer"),  # was a TypeError traceback
+        # these loaded silently and changed the report fingerprint
+        ("embed_dim", 8.0, "an integer"),
+        ("saliency_heads", 4.0, "an integer"),
+        ("lr_adapt", True, "a real number"),
+        ("dtw_normalize", "yes", "a bool"),
+    ],
+)
+def test_checkpoint_config_field_types_are_checked(
+    bench_dir, baseline_ckpt, tmp_path, field, value, kind
+):
+    import struct
+
+    data = baseline_ckpt.read_bytes()
+    (n,) = struct.unpack_from("<I", data, 8)
+    config = json.loads(data[12 : 12 + n])
+    config[field] = value
+    text = json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    path = tmp_path / "mistyped.fsvm"
+    path.write_bytes(data[:8] + struct.pack("<I", len(text)) + text + data[12 + n :])
+    report = tmp_path / "report.json"
+    proc = _run_cli(
+        "eval", "--ckpt", str(path),
+        "--manifest", str(bench_dir / "bench" / "manifest.json"),
+        "--episodes", "3", "--report", str(report),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {field} must be {kind}, got ")
+    assert not report.exists()

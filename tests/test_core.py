@@ -1,5 +1,6 @@
 """Feature-file I/O, manifests, and deterministic RNG streams."""
 
+import re
 import subprocess
 import sys
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from fsvc.core import (
     FeatureSequence,
     FormatError,
+    FsvcError,
     LengthError,
     Manifest,
     RngStream,
@@ -250,6 +252,69 @@ def test_load_sequence_checks_manifest_dims(tmp_path):
     )
     with pytest.raises(ValidationError, match="frame count"):
         load_sequence(manifest, manifest.videos[0])
+    row = np.full((8, 3), 7.0)
+    with pytest.raises(ValidationError, match="video 'a'"):
+        load_sequence(manifest, manifest.videos[0], out=row)
+    assert (row == 7.0).all()  # checked before anything is written
+
+
+def _break_file(tmp_path, name, fault):
+    """Rewrite ``name``.fsvf (a 2x3 file) so that it has ``fault``."""
+    path = tmp_path / f"{name}.fsvf"
+    if fault == "frames":
+        _write_feature(tmp_path, name, t=3, c=3)
+    elif fault == "dims":
+        _write_feature(tmp_path, name, t=2, c=4)
+    elif fault == "truncated":
+        path.write_bytes(path.read_bytes()[:-4])
+    else:
+        path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+
+
+@pytest.mark.parametrize(
+    "fault, error, named",
+    [
+        ("frames", ValidationError, "video 'y': frame count 3"),
+        ("dims", ValidationError, "video 'y': frame count 2 and feature dim 4"),
+        ("truncated", LengthError, "y.fsvf"),
+        ("magic", FormatError, "y.fsvf: bad magic"),
+    ],
+)
+def test_load_split_read_errors_stay_typed(tmp_path, fault, error, named):
+    from fsvc.harness import load_split
+
+    # manifest order m, y, b, x; block order b, x, m, y.  Both y and x are
+    # broken, and y is the first in manifest order.
+    order = [("m", 1), ("y", 1), ("b", 0), ("x", 0)]
+    for name, _ in order:
+        _write_feature(tmp_path, name)
+    for name in ("y", "x"):
+        _break_file(tmp_path, name, fault)
+    manifest = _manifest(
+        tmp_path,
+        [VideoEntry(n, c, f"{n}.fsvf", "train") for n, c in order],
+        [(0, "c0"), (1, "c1")],
+    )
+    with pytest.raises(FsvcError) as err:
+        load_split(manifest, "train")
+    assert type(err.value) is error
+    assert named in str(err.value)
+    assert "x.fsvf" not in str(err.value) and "'x'" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "second, message",
+    [
+        (VideoEntry("a", 0, "b.fsvf", "train"), "video 'a' is listed twice"),
+        (VideoEntry("a", 0, "a.fsvf", "train"), "video 'a' is listed twice"),
+        (VideoEntry("b", 0, "./a.fsvf", "train"), "'./a.fsvf' is also video 'a'"),
+        (None, "video 'a' is listed twice"),  # the same entry object again
+    ],
+)
+def test_manifest_rejects_duplicate_videos(tmp_path, second, message):
+    first = VideoEntry("a", 0, "a.fsvf", "train")
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        _manifest(tmp_path, [first, second or first], [(0, "c0")])
 
 
 def test_unknown_split_and_unregistered_class(tmp_path):

@@ -84,14 +84,19 @@ def episode_cases(draw):
 
 
 def build_split(case, rs: np.random.Generator) -> SplitData:
-    """Classes with ids 100, 101, ... and ``counts`` random videos each."""
+    """Classes with ids 100, 101, ... and ``counts`` random videos each, held
+    in one read-only block as a loaded split holds them."""
+    shape = (case["frames"], case["in_dim"])
+    block = np.concatenate([rs.standard_normal((n, *shape)) for n in case["counts"]])
+    block.flags.writeable = False
     by_class = {}
+    start = 0
     for c, n in enumerate(case["counts"]):
-        frames = rs.standard_normal((n, case["frames"], case["in_dim"]))
         by_class[100 + c] = tuple(
-            FeatureSequence(f"c{c}v{v}", 100 + c, frames[v]) for v in range(n)
+            FeatureSequence(f"c{c}v{v}", 100 + c, block[start + v]) for v in range(n)
         )
-    return SplitData(class_ids=tuple(sorted(by_class)), by_class=by_class)
+        start += n
+    return SplitData(class_ids=tuple(sorted(by_class)), by_class=by_class, frames=block)
 
 
 def random_models(case, rs: np.random.Generator):

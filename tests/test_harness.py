@@ -1,11 +1,15 @@
 """Episode sampling, evaluation statistics, split construction, reports."""
 
+import os
 import statistics
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fsvc.core import CapacityError, RngStream, load_manifest
+from fsvc.core import CapacityError, RngStream, load_manifest, read_feature_file
 from fsvc.harness import (
     EvalReport,
     accuracy_vector,
@@ -23,6 +27,7 @@ from fsvc.protocols import (
     STREAM_VAL_EPISODE,
     MethodConfig,
     TrainedModel,
+    _split_to_arrays,
     _val_accuracy,
     adapt_and_predict,
     init_embedding,
@@ -315,3 +320,74 @@ def test_split_manifest_loads_and_evaluates(big_manifest, tmp_path):
     model = train_classification(back, cfg)
     report = evaluate(model, cfg, back, n_episodes=50)
     assert report.episodes == 50
+
+
+# ---------------------------------------------------------------------------
+# a loaded split holds its frames once
+
+
+def test_split_frames_are_one_read_only_block(bench):
+    split = load_split(bench, "train")
+    assert split.frames.shape == (36, bench.frame_count, bench.feature_dim)
+    assert split.frames.dtype == np.float64 and not split.frames.flags.writeable
+    frames, labels = _split_to_arrays(split)
+    assert frames is split.frames
+    paths = {v.video_id: bench.resolve(v) for v in bench.split_videos("train")}
+    row = 0
+    for label, cid in enumerate(split.class_ids):
+        for seq in split.by_class[cid]:
+            assert not seq.frames.flags.writeable
+            assert np.shares_memory(seq.frames, split.frames)
+            assert seq.frames.tobytes() == split.frames[row].tobytes()
+            on_disk = read_feature_file(paths[seq.video_id]).frames
+            assert split.frames[row].tobytes() == on_disk.tobytes()
+            assert labels[row] == label
+            row += 1
+    assert row == split.frames.shape[0]
+    with pytest.raises(ValueError):
+        split.frames[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        split.by_class[split.class_ids[0]][0].frames[0, 0] = 1.0
+
+
+def test_empty_split_has_an_empty_block(bench):
+    no_test = replace(bench, videos=bench.split_videos("train"))
+    split = load_split(no_test, "test")
+    assert split.class_ids == () and split.by_class == {}
+    assert split.frames.shape == (0, bench.frame_count, bench.feature_dim)
+
+
+_RSS_PROBE = """
+import resource, sys
+from fsvc.core import load_manifest
+from fsvc.protocols import MethodConfig, train_classification
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # KiB on Linux
+
+cfg = MethodConfig("baseline", train_steps=1, embed_dim=16)
+train_classification(load_manifest(sys.argv[1]), cfg, select_by_val=False)  # warm-up
+manifest = load_manifest(sys.argv[2])
+before = peak()
+train_classification(manifest, cfg, select_by_val=False)
+print(peak() - before)
+"""
+
+
+def test_training_holds_the_train_split_once(tmp_path):
+    # the standard benchmark's train split: 64 classes of 40 videos, 8 x 64
+    spec = GeneratorSpec(64, 5, 5, 40, 64, 8, 32, 0.5, 0.1, seed=2002)
+    big = gen_benchmark(spec, tmp_path / "big")
+    small = gen_benchmark(replace(spec, n_train_classes=6, videos_per_class=6), tmp_path / "small")
+    # a process starts with the ru_maxrss of the one that forked it, so the
+    # probe is forked by a small interpreter, not by this one
+    launch = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
+    manifests = [str(m.root / "manifest.json") for m in (small, big)]
+    proc = subprocess.run(
+        [sys.executable, "-c", launch, "-c", _RSS_PROBE, *manifests],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+    )
+    block = 64 * 40 * 8 * 64 * 8
+    rise = int(proc.stdout.split()[-1])
+    assert rise < 1.5 * block, f"peak RSS rose {rise / block:.2f}x the block's bytes"

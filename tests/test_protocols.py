@@ -388,7 +388,7 @@ def test_train_classification_reaches_high_accuracy(tmp_path):
     from fsvc.heads import linear_forward
     from fsvc.protocols import _split_to_arrays, pooled_embedding
 
-    frames, labels, _ = _split_to_arrays(data)
+    frames, labels = _split_to_arrays(data)
     logits = linear_forward(model.base_head, pooled_embedding(model.embedding, frames))
     assert (logits.argmax(axis=1) == labels).mean() > 0.95
 
@@ -597,6 +597,15 @@ def test_adapt_rejects_method_mismatch(bench):
 # pretraining
 
 
+def test_train_classification_rejects_empty_train_split(bench):
+    manifest, _ = bench
+    no_train = replace(
+        manifest, videos=tuple(v for v in manifest.videos if v.split != "train")
+    )
+    with pytest.raises(ValidationError, match="train split has no videos"):
+        train_classification(no_train, _fast_cfg("baseline"))
+
+
 def test_pretrain_without_data_rejected(bench):
     manifest, pretrain = bench
     cfg = _fast_cfg("baseline")
@@ -627,7 +636,7 @@ def test_pretrained_init_lowers_early_training_loss(bench):
     from fsvc.protocols import STREAM_BATCH, STREAM_INIT
 
     train_data = load_split(manifest, "train")
-    frames, labels, _ = _split_to_arrays(train_data)
+    frames, labels = _split_to_arrays(train_data)
     wins = 0
     for seed in range(5):
         cfg = _fast_cfg("baseline", seed=seed, train_steps=240)
