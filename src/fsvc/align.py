@@ -24,6 +24,7 @@ import numpy as np
 from .core import DegenerateInputError, ShapeError, ValidationError
 
 _NORM_TOL = 1e-300  # anything representable and nonzero passes
+BRUTEFORCE_MAX_CELLS = 36  # dtw_bruteforce enumerates exponentially many paths
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -126,19 +127,20 @@ def dtw(dist: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     return acc[tq - 1][ts - 1], path
 
 
-def dtw_bruteforce(dist: np.ndarray, max_cells: int = 36) -> float:
+def dtw_bruteforce(dist: np.ndarray) -> float:
     """Exhaustive minimum over all monotone paths; test oracle for dtw().
 
-    Enumeration is exponential, so matrices larger than ``max_cells`` cells
-    are rejected.
+    Enumeration is exponential, so matrices larger than
+    ``BRUTEFORCE_MAX_CELLS`` cells are rejected.
     """
     d = np.asarray(dist, dtype=np.float64)
     if d.ndim != 2:
         raise ValidationError(f"distance matrix must be 2-D, got shape {d.shape}")
     tq, ts = d.shape
-    if tq * ts > max_cells:
+    if tq * ts > BRUTEFORCE_MAX_CELLS:
         raise ValidationError(
-            f"{tq}x{ts} matrix exceeds the {max_cells}-cell enumeration limit"
+            f"{tq}x{ts} matrix exceeds the {BRUTEFORCE_MAX_CELLS}-cell "
+            f"enumeration limit"
         )
     best = np.inf
 
@@ -216,10 +218,6 @@ class SaliencyParams:
     @property
     def n_heads(self) -> int:
         return self.queries.shape[0]
-
-    @classmethod
-    def zeros(cls, n_heads: int, dim: int) -> "SaliencyParams":
-        return cls(np.zeros((n_heads, dim)))
 
 
 def saliency_attention(seq: np.ndarray, params: SaliencyParams) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .core import FormatError, FsvcError, load_manifest, rebase_manifest, save_manifest
@@ -60,28 +60,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     pretrain_manifest = None
     if args.pretrain_manifest:
         pretrain_manifest = load_manifest(args.pretrain_manifest)
-    overrides = {
-        "n_way": args.way,
-        "k_shot": args.shot,
-        "temperature": args.temperature,
-        "lr_base": args.lr_base,
-        "lr_adapt": args.lr_adapt,
-        "iters_adapt": args.finetune_iters,
-        "dropout_p": args.dropout,
-        "embed_dim": args.embed_dim,
-        "dtw_normalize": args.dtw_normalize,
-        "train_steps": args.train_steps,
-        "episodes_per_epoch": args.episodes_per_epoch,
-        "max_epochs": args.max_epochs,
-        "val_episodes": args.val_episodes,
-        "batch_size": args.batch_size,
+    # every MethodConfig field that a flag set; the parser's dests are the
+    # field names, and None means the flag was not given
+    set_by_flags = {
+        f.name: getattr(args, f.name)
+        for f in fields(MethodConfig)
+        if getattr(args, f.name, None) is not None
     }
-    cfg = MethodConfig(
-        method=args.method,
-        init=args.init,
-        seed=args.seed,
-        **{k: v for k, v in overrides.items() if v is not None},
-    )
+    cfg = MethodConfig(**set_by_flags)
     model = train_model(manifest, cfg, pretrain_manifest=pretrain_manifest)
     save_checkpoint(model, args.out)
     print(f"{args.out} fingerprint={model.fingerprint}")
@@ -143,13 +129,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pretrain-manifest", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="checkpoint path")
-    p.add_argument("--way", type=int, default=None)
-    p.add_argument("--shot", type=int, default=None)
+    p.add_argument("--way", type=int, default=None, dest="n_way")
+    p.add_argument("--shot", type=int, default=None, dest="k_shot")
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--lr-base", type=float, default=None)
     p.add_argument("--lr-adapt", type=float, default=None)
-    p.add_argument("--finetune-iters", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
+    p.add_argument("--finetune-iters", type=int, default=None, dest="iters_adapt")
+    p.add_argument("--dropout", type=float, default=None, dest="dropout_p")
     p.add_argument("--embed-dim", type=int, default=None)
     p.add_argument("--dtw-normalize", action="store_const", const=True, default=None)
     p.add_argument("--train-steps", type=int, default=None)

@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -61,6 +62,40 @@ class CoverageError(FsvcError):
 
 class LeakageError(FsvcError):
     """Class sets that must stay disjoint overlap."""
+
+
+def _is_real(value) -> bool:
+    """An int or float that is a finite float, and not a bool."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max  # not nan, inf or a huge int
+    )
+
+
+# dataclass field annotation -> (what a value must be, its test); type(), not
+# isinstance, for int and bool, as JSON true and false load as bools
+_FIELD_TYPES = {
+    "str": ("a string", lambda v: type(v) is str),
+    "int": ("an integer", lambda v: type(v) is int),
+    "bool": ("a bool", lambda v: type(v) is bool),
+    "float": ("a real number", _is_real),
+    "float | None": ("a real number or null", lambda v: v is None or _is_real(v)),
+}
+
+
+def check_field_types(record, label: str) -> None:
+    """Raise ``ValidationError`` unless every field of the dataclass ``record``
+    holds a value of its annotated type; a float must be finite.  ``label``
+    formats a field's name for the message, as in "{} must be ...".
+    """
+    for field in fields(record):
+        kind, ok = _FIELD_TYPES[field.type]
+        value = getattr(record, field.name)
+        if not ok(value):
+            raise ValidationError(
+                f"{label.format(field.name)} must be {kind}, got {value!r}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +423,9 @@ def _manifest_rows(path: Path, doc: dict, key: str, types: tuple) -> list:
     return rows
 
 
-def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
-    """Load and validate a manifest; rejects overlapping split class sets."""
+def load_manifest(path: str | Path) -> Manifest:
+    """Load and validate a manifest; rejects overlapping split class sets and
+    feature files that do not resolve."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -418,17 +454,14 @@ def load_manifest(path: str | Path, check_files: bool = True) -> Manifest:
         feature_dim=doc["feature_dim"],
         root=path.parent,
     )
-    if check_files:
-        missing = [
-            v.file_path
-            for v in manifest.videos
-            if not os.path.exists(manifest.resolve(v))
-        ]
-        if missing:
-            raise ValidationError(
-                f"{path}: {len(missing)} feature file(s) do not resolve, "
-                f"first: {missing[0]!r}"
-            )
+    missing = [
+        v.file_path for v in manifest.videos if not os.path.exists(manifest.resolve(v))
+    ]
+    if missing:
+        raise ValidationError(
+            f"{path}: {len(missing)} feature file(s) do not resolve, "
+            f"first: {missing[0]!r}"
+        )
     return manifest
 
 
@@ -454,6 +487,21 @@ def rebase_manifest(manifest: Manifest, new_root: str | Path) -> Manifest:
     )
 
 
+def empty_frames(manifest: Manifest, n: int, what: str) -> np.ndarray:
+    """A new (n, frame_count, feature_dim) float64 block for ``what``.
+
+    Manifest dims too large to allocate are a ``ValidationError`` naming
+    ``what`` and the dims, raised before any file is read.
+    """
+    try:
+        return np.empty((n, manifest.frame_count, manifest.feature_dim))
+    except (ValueError, MemoryError) as exc:
+        raise ValidationError(
+            f"{what}: cannot allocate {n} video(s) of manifest frame_count "
+            f"{manifest.frame_count} x feature_dim {manifest.feature_dim}: {exc}"
+        ) from exc
+
+
 def load_sequence(
     manifest: Manifest, entry: VideoEntry, out: np.ndarray | None = None
 ) -> FeatureSequence:
@@ -463,7 +511,7 @@ def load_sequence(
     float64 row, or into a new array when it is None.
     """
     if out is None:
-        out = np.empty((manifest.frame_count, manifest.feature_dim))
+        out = empty_frames(manifest, 1, f"video {entry.video_id!r}")[0]
     return read_feature_file(
         manifest.resolve(entry),
         video_id=entry.video_id,

@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 from itertools import groupby
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -24,26 +25,13 @@ from .core import (
     VideoEntry,
     _stream_generators,
     as_generator,
+    empty_frames,
     load_sequence,
 )
 from .protocols import MethodConfig, TrainedModel, adapt_and_predict
 
 STREAM_SPLIT = 8 << 32
 STREAM_CAP = 9 << 32
-
-REPORT_FIELDS = (
-    "method",
-    "n_way",
-    "k_shot",
-    "episodes",
-    "mean_accuracy",
-    "ci95_halfwidth",
-    "mean_accuracy_pct",
-    "ci95_halfwidth_pct",
-    "seed",
-    "fingerprint",
-)
-
 
 @dataclass(frozen=True)
 class Episode:
@@ -105,7 +93,7 @@ def load_split(manifest: Manifest, split: str) -> SplitData:
     entries = manifest.split_videos(split)
     ordered = sorted(entries, key=lambda e: (e.class_id, e.video_id))
     slot = {e.video_id: s for s, e in enumerate(ordered)}  # ids are unique
-    frames = np.empty((len(entries), manifest.frame_count, manifest.feature_dim))
+    frames = empty_frames(manifest, len(entries), f"{split} split")
     loaded = {
         e.video_id: load_sequence(manifest, e, out=frames[slot[e.video_id]])
         for e in entries
@@ -236,13 +224,19 @@ def accuracy_vector(
     if n_episodes < 1:
         raise ValidationError(f"need at least 1 episode, got {n_episodes}")
     _check_capacity(data, cfg.n_way, cfg.k_shot)
-    correct = np.zeros(n_episodes, dtype=np.float64)
+    hits = _episode_hits(model, cfg, data, range(n_episodes))
+    return np.fromiter(hits, np.float64, n_episodes)
+
+
+def _episode_hits(
+    model: TrainedModel, cfg: MethodConfig, data: SplitData, streams: Iterable[int]
+) -> Iterator[bool]:
+    """Whether the prediction is right, for one episode per stream id ``s``;
+    the episode is sampled and adapted on the generator of (cfg.seed, s)."""
     # each generator serves one episode only, so one re-keyed Philox does
-    for e, gen in enumerate(_stream_generators(cfg.seed, range(n_episodes))):
+    for gen in _stream_generators(cfg.seed, streams):
         episode = sample_episode(data, cfg.n_way, cfg.k_shot, gen)
-        pred = adapt_and_predict(model, episode, cfg, rng=gen)
-        correct[e] = 1.0 if pred == episode.query[1] else 0.0
-    return correct
+        yield adapt_and_predict(model, episode, cfg, rng=gen) == episode.query[1]
 
 
 def evaluate(
@@ -250,7 +244,6 @@ def evaluate(
     cfg: MethodConfig,
     manifest: Manifest,
     n_episodes: int = 10000,
-    split: str = "test",
 ) -> EvalReport:
     """Mean episode accuracy with a 95% confidence interval."""
     if model.embedding.in_dim != manifest.feature_dim:
@@ -259,7 +252,7 @@ def evaluate(
             f"feature_dim is {manifest.feature_dim}"
         )
     started = time.perf_counter()
-    data = load_split(manifest, split)
+    data = load_split(manifest, "test")
     correct = accuracy_vector(model, cfg, data, n_episodes)
     return EvalReport(
         method=cfg.method,
@@ -299,8 +292,8 @@ def report_bytes(report: EvalReport, fmt: str = "json") -> bytes:
     if fmt == "json":
         return (json.dumps(doc, indent=2) + "\n").encode()
     if fmt == "csv":
-        header = ",".join(REPORT_FIELDS)
-        row = ",".join(str(doc[f]) for f in REPORT_FIELDS)
+        header = ",".join(doc)
+        row = ",".join(str(value) for value in doc.values())
         return (header + "\n" + row + "\n").encode()
     raise ValidationError(f"unknown report format {fmt!r}")
 

@@ -35,7 +35,8 @@ _sum_reduce = np.add.reduce
 
 @dataclass(frozen=True, eq=False)
 class LinearHead:
-    """Affine classifier: logits = W x + b, with W of shape (C_out, D)."""
+    """Frozen affine map x -> W x + b, with W of shape (C_out, D): a classifier
+    head, or the per-frame embedding (``protocols.EmbeddingParams``)."""
 
     weight: np.ndarray
     bias: np.ndarray
@@ -49,7 +50,7 @@ class LinearHead:
                 f"(C_out,) pair"
             )
         if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValidationError("head parameters must be finite")
+            raise ValidationError("weight and bias must be finite")
         w.setflags(write=False)
         b.setflags(write=False)
         object.__setattr__(self, "weight", w)

@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import accumulate, chain, count
 
 import numpy as np
@@ -46,10 +46,10 @@ from .core import (
     LengthError,
     Manifest,
     RngStream,
-    ShapeError,
     ValidationError,
     _stream_generators,
     as_generator,
+    check_field_types,
 )
 from .heads import (
     AdamState,
@@ -87,34 +87,8 @@ FSVM_BLOCKS = {
 }
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingParams:
-    """Per-frame affine feature extractor: each frame x maps to W x + b."""
-
-    weight: np.ndarray  # (C, C_in)
-    bias: np.ndarray  # (C,)
-
-    def __post_init__(self) -> None:
-        w = np.array(self.weight, dtype=np.float64)
-        b = np.array(self.bias, dtype=np.float64)
-        if w.ndim != 2 or b.ndim != 1 or b.shape[0] != w.shape[0]:
-            raise ShapeError(
-                f"embedding weight {w.shape} / bias {b.shape} mismatch"
-            )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValidationError("embedding parameters must be finite")
-        w.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "bias", b)
-
-    @property
-    def out_dim(self) -> int:
-        return self.weight.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.weight.shape[1]
+# the per-frame feature extractor: each frame x maps to W x + b
+EmbeddingParams = LinearHead
 
 
 def init_embedding(
@@ -149,21 +123,6 @@ _SCHEDULE_FIELDS = (
 )
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# MethodConfig field annotation -> (what a value must be, its test); type(),
-# not isinstance, for int and bool, as JSON true and false load as bools
-_FIELD_TYPES = {
-    "str": ("a string", lambda v: type(v) is str),
-    "int": ("an integer", lambda v: type(v) is int),
-    "bool": ("a bool", lambda v: type(v) is bool),
-    "float": ("a real number", _is_real),
-    "float | None": ("a real number or null", lambda v: v is None or _is_real(v)),
-}
-
-
 @dataclass(frozen=True)
 class MethodConfig:
     """Everything needed to train and evaluate one method reproducibly.
@@ -196,11 +155,7 @@ class MethodConfig:
     val_episodes: int = 100
 
     def __post_init__(self) -> None:
-        for field in fields(self):
-            kind, ok = _FIELD_TYPES[field.type]
-            value = getattr(self, field.name)
-            if not ok(value):
-                raise ValidationError(f"{field.name} must be {kind}, got {value!r}")
+        check_field_types(self, "{}")
         if self.method not in METHODS:
             raise ValidationError(
                 f"unknown method {self.method!r}; expected one of {METHODS}"
@@ -209,7 +164,7 @@ class MethodConfig:
             raise ValidationError(f"unknown init {self.init!r}")
         if self.n_way < 2 or self.k_shot < 1:
             raise ValidationError("need n_way >= 2 and k_shot >= 1")
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
+        if not self.temperature > 0:
             raise ValidationError(
                 f"temperature must be finite and > 0, got {self.temperature}"
             )
@@ -217,7 +172,7 @@ class MethodConfig:
         if self.lr_base is not None:
             rates["lr_base"] = self.lr_base
         for name, lr in rates.items():
-            if not (math.isfinite(lr) and lr > 0):
+            if not lr > 0:
                 raise ValidationError(f"{name} must be finite and > 0, got {lr}")
         for name in _SCHEDULE_FIELDS:
             if getattr(self, name) < 1:
@@ -361,8 +316,7 @@ def classification_loss_and_grads(
     evaluation passes None, which is the identity.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    embedded = embed_frames(emb, frames)  # (N, T, C)
-    pooled = embedded.mean(axis=1)  # (N, C)
+    pooled = pooled_embedding(emb, frames)  # (N, C)
     h = pooled if mask is None else pooled * mask
     logits = h @ head.weight.T + head.bias
     loss, dlogits = softmax_xent_batch(logits, labels)
@@ -605,7 +559,7 @@ def adapt_and_predict(
     q_feat = pooled_embedding(emb, ep.query)
 
     if cfg.method == "baseline":
-        init = init_head(rng, cfg.n_way, emb.out_dim)
+        init = init_head(rng, cfg.n_way, emb.n_out)
         head = train_head(feats, labels, init, cfg.iters_adapt, cfg.lr_adapt)
         return int(np.argmax(linear_forward(head, q_feat)))
 
@@ -637,13 +591,8 @@ def _split_to_arrays(split_data) -> tuple[np.ndarray, np.ndarray]:
 def _val_accuracy(model: TrainedModel, cfg: MethodConfig, val_data) -> float:
     from . import harness  # deferred; harness imports this module at top level
 
-    correct = 0
     streams = range(STREAM_VAL_EPISODE, STREAM_VAL_EPISODE + cfg.val_episodes)
-    for gen in _stream_generators(cfg.seed, streams):
-        episode = harness.sample_episode(val_data, cfg.n_way, cfg.k_shot, gen)
-        pred = adapt_and_predict(model, episode, cfg, rng=gen)
-        correct += int(pred == episode.query[1])
-    return correct / cfg.val_episodes
+    return sum(harness._episode_hits(model, cfg, val_data, streams)) / cfg.val_episodes
 
 
 def _fit(

@@ -34,21 +34,19 @@ def max_fd_error(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     gen: np.random.Generator,
-    coords_per_param: int = 4,
-    h: float = 1e-5,
 ) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
-    ``loss_fn`` must read the current contents of ``params``; coordinates are
-    perturbed in place and restored.  Relative error uses
-    |a - f| / max(|a|, |f|, 1e-6) so near-zero coordinates are compared on an
-    absolute scale.
+    ``loss_fn`` must read the current contents of ``params``; four random
+    coordinates of each are perturbed in place by +-1e-5 and restored.
+    Relative error uses |a - f| / max(|a|, |f|, 1e-6) so near-zero
+    coordinates are compared on an absolute scale.
     """
-    worst = 0.0
+    worst, h = 0.0, 1e-5
     for name, p in params.items():
         flat = p.ravel()
         g = grads[name].ravel()
-        for _ in range(coords_per_param):
+        for _ in range(4):
             i = int(gen.integers(flat.size))
             orig = flat[i]
             flat[i] = orig + h

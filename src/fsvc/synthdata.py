@@ -9,11 +9,10 @@ at desk scale with a known ground truth.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Iterable, get_type_hints
+from typing import Iterable
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .core import (
     VideoEntry,
     _stream_generators,
     as_generator,
+    check_field_types,
     save_manifest,
     write_feature_files,
 )
@@ -60,6 +60,7 @@ class GeneratorSpec:
     feature_corr: float = 0.0
 
     def __post_init__(self) -> None:
+        check_field_types(self, "generator field {!r}")
         if min(self.n_train_classes, self.n_val_classes, self.n_test_classes) < 0:
             raise ValidationError("class counts must be >= 0")
         if self.videos_per_class < 1:
@@ -92,18 +93,6 @@ class GeneratorSpec:
         ]
         if missing:
             raise ValidationError(f"missing generator fields: {missing}")
-        for name, kind in get_type_hints(cls).items():
-            if name not in doc:
-                continue
-            val = doc[name]
-            kinds = (int,) if kind is int else (int, float)
-            # bool is an int subclass, but true/false is never a count or a knob
-            bad = isinstance(val, bool) or not isinstance(val, kinds)
-            if bad or (isinstance(val, float) and not math.isfinite(val)):
-                what = "an integer" if kind is int else "a finite number"
-                raise ValidationError(
-                    f"generator field {name!r} must be {what}, got {val!r}"
-                )
         return cls(**doc)
 
 
@@ -182,17 +171,15 @@ def _video_block(
     proto: np.ndarray,
     spec: GeneratorSpec,
     gens: Iterable[np.random.Generator],
-    count: int | None = None,
+    count: int,
 ) -> np.ndarray:
     """(V, T, C_in) frames of one video per generator, all from ``proto``.
 
-    ``gens`` is a sequence, or an iterator of ``count`` generators that are
-    drawn in turn.  Each generator draws its video's T warp uniforms and
-    then, if there is noise, its (T, C_in) standard normals before the next
-    one is drawn; everything after the draws runs once on the whole block.
+    ``gens`` yields ``count`` generators, drawn in turn.  Each generator
+    draws its video's T warp uniforms and then, if there is noise, its
+    (T, C_in) standard normals before the next one is drawn; everything after
+    the draws runs once on the whole block.
     """
-    if count is None:
-        count = len(gens)
     if proto.shape[0] != spec.prototype_len:
         raise ValidationError(
             f"prototype has {proto.shape[0]} rows, spec says {spec.prototype_len}"
@@ -219,37 +206,8 @@ def gen_video(
     class_id: int = 0,
 ) -> FeatureSequence:
     """Sample one video from a class prototype: warped positions plus noise."""
-    frames = _video_block(proto, spec, [as_generator(rng)])[0]
+    frames = _video_block(proto, spec, [as_generator(rng)], 1)[0]
     return FeatureSequence(video_id=video_id, class_id=class_id, frames=frames)
-
-
-def _write_class_videos(
-    spec: GeneratorSpec,
-    class_id: int,
-    class_name: str,
-    split: str,
-    subdir: str,
-    out_dir: Path,
-    video_counter: int,
-) -> tuple[list[VideoEntry], int]:
-    """Generate and write one class as a block; videos take the next
-    ``videos_per_class`` video streams from ``video_counter``."""
-    proto = gen_class_prototype(
-        RngStream(spec.seed, STREAM_PROTO + class_id),
-        spec.feature_dim,
-        spec.prototype_len,
-        corr_width=spec.feature_corr,
-    )
-    os.makedirs(os.path.join(out_dir, subdir, class_name), exist_ok=True)
-    counters = range(video_counter, video_counter + spec.videos_per_class)
-    gens = _stream_generators(spec.seed, (STREAM_VIDEO + c for c in counters))
-    frames = _video_block(proto, spec, gens, len(counters))
-    entries = [
-        VideoEntry(vid, class_id, f"{subdir}/{class_name}/{vid}.fsvf", split)
-        for vid in (f"{class_name}_v{j:03d}" for j in range(spec.videos_per_class))
-    ]
-    write_feature_files(frames, [os.path.join(out_dir, e.file_path) for e in entries])
-    return entries, counters.stop
 
 
 def gen_benchmark(spec: GeneratorSpec, out_dir: str | Path) -> Manifest:
@@ -262,58 +220,52 @@ def gen_benchmark(spec: GeneratorSpec, out_dir: str | Path) -> Manifest:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    plan = (
-        [("train", spec.n_train_classes)]
-        + [("val", spec.n_val_classes)]
-        + [("test", spec.n_test_classes)]
-    )
-    classes: list[tuple[int, str]] = []
-    videos: list[VideoEntry] = []
-    class_id = 0
-    video_counter = 0
-    for split, count in plan:
-        for _ in range(count):
-            name = f"cls{class_id:03d}"
-            entries, video_counter = _write_class_videos(
-                spec, class_id, name, split, "features", out_dir, video_counter
-            )
-            classes.append((class_id, name))
-            videos.extend(entries)
-            class_id += 1
+    # (manifest file, split, class count, feature subdirectory) in class-id order
+    plan = [
+        (MANIFEST_NAME, "train", spec.n_train_classes, "features"),
+        (MANIFEST_NAME, "val", spec.n_val_classes, "features"),
+        (MANIFEST_NAME, "test", spec.n_test_classes, "features"),
+        (PRETRAIN_MANIFEST_NAME, "train", spec.pretrain_classes, "features_pretrain"),
+    ]
+    # the main manifest is written even with no classes, the pretraining one
+    # only with some
+    listed: dict[str, tuple[list, list[VideoEntry]]] = {MANIFEST_NAME: ([], [])}
+    rows = [(m, split, sub) for m, split, n, sub in plan for _ in range(n)]
+    n_videos = spec.videos_per_class
+    # each class is generated and written as one block; class c's videos take
+    # video streams c * videos_per_class onwards, so every video has its own
+    for class_id, (manifest_name, split, subdir) in enumerate(rows):
+        name = f"cls{class_id:03d}"
+        proto = gen_class_prototype(
+            RngStream(spec.seed, STREAM_PROTO + class_id),
+            spec.feature_dim,
+            spec.prototype_len,
+            corr_width=spec.feature_corr,
+        )
+        streams = range(class_id * n_videos, (class_id + 1) * n_videos)
+        gens = _stream_generators(spec.seed, (STREAM_VIDEO + s for s in streams))
+        frames = _video_block(proto, spec, gens, n_videos)
+        entries = [
+            VideoEntry(vid, class_id, f"{subdir}/{name}/{vid}.fsvf", split)
+            for vid in (f"{name}_v{j:03d}" for j in range(n_videos))
+        ]
+        os.makedirs(os.path.join(out_dir, subdir, name), exist_ok=True)
+        paths = [os.path.join(out_dir, e.file_path) for e in entries]
+        write_feature_files(frames, paths)
+        classes, videos = listed.setdefault(manifest_name, ([], []))
+        classes.append((class_id, name))
+        videos.extend(entries)
 
-    manifest = Manifest(
-        classes=tuple(classes),
-        videos=tuple(videos),
-        frame_count=spec.frame_count,
-        feature_dim=spec.feature_dim,
-        root=out_dir,
-    )
-    save_manifest(manifest, out_dir / MANIFEST_NAME)
-
-    if spec.pretrain_classes > 0:
-        pre_classes: list[tuple[int, str]] = []
-        pre_videos: list[VideoEntry] = []
-        for _ in range(spec.pretrain_classes):
-            name = f"cls{class_id:03d}"
-            entries, video_counter = _write_class_videos(
-                spec,
-                class_id,
-                name,
-                "train",
-                "features_pretrain",
-                out_dir,
-                video_counter,
-            )
-            pre_classes.append((class_id, name))
-            pre_videos.extend(entries)
-            class_id += 1
-        pretrain = Manifest(
-            classes=tuple(pre_classes),
-            videos=tuple(pre_videos),
+    manifests = {
+        manifest_name: Manifest(
+            classes=tuple(classes),
+            videos=tuple(videos),
             frame_count=spec.frame_count,
             feature_dim=spec.feature_dim,
             root=out_dir,
         )
-        save_manifest(pretrain, out_dir / PRETRAIN_MANIFEST_NAME)
-
-    return manifest
+        for manifest_name, (classes, videos) in listed.items()
+    }
+    for manifest_name, manifest in manifests.items():
+        save_manifest(manifest, out_dir / manifest_name)
+    return manifests[MANIFEST_NAME]

@@ -213,7 +213,7 @@ def test_otam_similarity_normalized():
 def test_multi_saliency_zero_queries_is_mean_pool():
     gen = RngStream(16, 0).generator()
     seq = gen.standard_normal((6, 5))
-    params = SaliencyParams.zeros(3, 5)
+    params = SaliencyParams(np.zeros((3, 5)))
     desc = multi_saliency(seq, params)
     for row in desc:
         assert np.allclose(row, seq.mean(axis=0), atol=1e-12)

@@ -164,6 +164,42 @@ def test_train_pretrained_flow(bench_dir):
     assert model.config.resolved_lr_base() == pytest.approx(1e-4)
 
 
+def test_every_train_flag_lands_in_its_field(bench_dir):
+    from fsvc.protocols import MethodConfig, load_checkpoint
+
+    # flag -> (MethodConfig field, a value other than the field's default)
+    flags = {
+        "--init": ("init", "pretrained"),
+        "--seed": ("seed", 4),
+        "--way": ("n_way", 3),
+        "--shot": ("k_shot", 2),
+        "--temperature": ("temperature", 7.5),
+        "--lr-base": ("lr_base", 0.002),
+        "--lr-adapt": ("lr_adapt", 0.01),
+        "--finetune-iters": ("iters_adapt", 7),
+        "--dropout": ("dropout_p", 0.25),
+        "--embed-dim": ("embed_dim", 6),
+        "--train-steps": ("train_steps", 3),
+        "--episodes-per-epoch": ("episodes_per_epoch", 3),
+        "--max-epochs": ("max_epochs", 2),
+        "--val-episodes": ("val_episodes", 2),
+        "--batch-size": ("batch_size", 4),
+    }
+    defaults = MethodConfig("baseline-plus")
+    assert all(getattr(defaults, f) != v for f, v in flags.values())
+    ckpt = bench_dir / "every-flag.fsvm"
+    rc = main(
+        ["train", "--method", "baseline-plus",
+         "--manifest", str(bench_dir / "bench" / "manifest.json"),
+         "--pretrain-manifest", str(bench_dir / "bench" / "pretrain_manifest.json"),
+         "--out", str(ckpt), "--dtw-normalize",
+         *[arg for flag, (_, value) in flags.items() for arg in (flag, str(value))]]
+    )
+    assert rc == 0
+    expected = MethodConfig("baseline-plus", dtw_normalize=True, **dict(flags.values()))
+    assert load_checkpoint(ckpt).config == expected
+
+
 @pytest.fixture(scope="module")
 def untrained_ckpt(bench_dir):
     from fsvc.protocols import (
@@ -303,6 +339,23 @@ def test_train_bad_manifest_header_is_clean_error(bench_dir, tmp_path, key, valu
     assert not out.exists()
 
 
+def test_train_unallocatable_manifest_dims_are_clean_error(bench_dir, tmp_path):
+    doc = json.loads((bench_dir / "bench" / "manifest.json").read_text())
+    # (2**40)**2 frames a video overflow intp, so nothing is ever allocated
+    doc["frame_count"] = doc["feature_dim"] = 2**40
+    manifest = bench_dir / "bench" / "huge_dims.json"
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "model.fsvm"
+    proc = _run_cli(
+        "train", "--method", "baseline", "--manifest", str(manifest), "--out", str(out)
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: train split: ")
+    assert f"frame_count {2**40} x feature_dim {2**40}" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "method, flag, value, field",
     [
@@ -412,6 +465,8 @@ def baseline_ckpt(bench_dir):
         ("embed_dim", 8.0, "an integer"),
         ("saliency_heads", 4.0, "an integer"),
         ("lr_adapt", True, "a real number"),
+        # was an OverflowError traceback
+        pytest.param("lr_adapt", 10**400, "a real number", id="lr_adapt-10**400"),
         ("dtw_normalize", "yes", "a bool"),
     ],
 )

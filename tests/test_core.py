@@ -258,6 +258,22 @@ def test_load_sequence_checks_manifest_dims(tmp_path):
     assert (row == 7.0).all()  # checked before anything is written
 
 
+def test_unallocatable_manifest_dims_are_validation_errors(tmp_path):
+    from fsvc.harness import load_split
+
+    _write_feature(tmp_path, "a", t=2, c=3)
+    # (2**40)**2 frames overflow intp, so numpy refuses before allocating
+    big = 2**40
+    manifest = _manifest(
+        tmp_path, [VideoEntry("a", 0, "a.fsvf", "train")], [(0, "c0")], t=big, c=big
+    )
+    dims = f"frame_count {big} x feature_dim {big}"
+    with pytest.raises(ValidationError, match=f"video 'a': .*{dims}"):
+        load_sequence(manifest, manifest.videos[0])
+    with pytest.raises(ValidationError, match=f"train split: .*{dims}"):
+        load_split(manifest, "train")
+
+
 def _break_file(tmp_path, name, fault):
     """Rewrite ``name``.fsvf (a 2x3 file) so that it has ``fault``."""
     path = tmp_path / f"{name}.fsvf"

@@ -85,7 +85,7 @@ def test_block_row_is_the_video_of_its_stream(v, t, length, strength, sigma):
     spec = _spec(t, length, strength, sigma, c=5)
     proto = gen_class_prototype(RngStream(4, 0), 5, length)
     streams = [RngStream(4, 1000 + 17 * i) for i in range(v)]
-    block = _video_block(proto, spec, [s.generator() for s in streams])
+    block = _video_block(proto, spec, [s.generator() for s in streams], len(streams))
     assert block.shape == (v, t, 5)
     for row, stream in zip(block, streams):
         assert same_bits(row, oracle.gen_video(proto, spec, stream).frames)

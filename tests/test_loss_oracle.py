@@ -74,7 +74,7 @@ def test_metabaseline_matches_oracle(case, tau):
 @given(episodes(), st.integers(1, 4), st.sampled_from([0.0, 0.5, 2.0]))
 def test_cmn_matches_oracle(case, n_heads, q_scale):
     emb, ep, gen = case
-    c = emb.out_dim
+    c = emb.n_out
     sal = SaliencyParams(q_scale * gen.standard_normal((n_heads, c)))
     assert_matches(
         protocols.cmn_loss_and_grads(emb, sal, ep, 10.0),

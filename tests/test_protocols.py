@@ -272,7 +272,7 @@ def test_cmn_with_zero_queries_equals_metabaseline():
     for _ in range(10):
         ep = _random_episode_arrays(gen, n_way=3, k_shot=2)
         emb = init_embedding(gen, 4, 5)
-        sal = SaliencyParams.zeros(4, 4)
+        sal = SaliencyParams(np.zeros((4, 4)))
         loss_mb, _ = metabaseline_loss_and_grads(emb, ep, 10.0)
         loss_cmn, _ = cmn_loss_and_grads(emb, sal, ep, 10.0)
         assert loss_cmn == pytest.approx(loss_mb, abs=1e-12)
@@ -302,7 +302,7 @@ def test_temperature_scaling_leaves_metric_predictions_unchanged(bench):
             preds = []
             for tau in tau_pair:
                 cfg = MethodConfig(method=method, n_way=5, k_shot=1, temperature=tau)
-                sal = SaliencyParams.zeros(4, 8) if method == "cmn-lite" else None
+                sal = SaliencyParams(np.zeros((4, 8))) if method == "cmn-lite" else None
                 model = TrainedModel(emb, None, sal, cfg)
                 ep_gen = RngStream(1, 0).generator()
                 episode = sample_episode(data, 5, 1, ep_gen)
@@ -330,7 +330,7 @@ def test_query_identical_to_support_predicts_its_class(bench):
                 method=method, n_way=4, k_shot=1, embed_dim=8, seed=1, lr_adapt=1e-2
             )
             emb = init_embedding(RngStream(2, 0), 8, c_in)
-            sal = SaliencyParams.zeros(4, 8) if method == "cmn-lite" else None
+            sal = SaliencyParams(np.zeros((4, 8))) if method == "cmn-lite" else None
             head = init_head(RngStream(2, 1), 6, 8, scale=0.6) if method in CLASSIFIER_METHODS else None
             model = TrainedModel(emb, head, sal, cfg)
             pred = adapt_and_predict(model, episode, cfg, rng=RngStream(3, label))

@@ -235,6 +235,7 @@ def test_spec_from_dict_names_missing_fields():
         ("noise_sigma", "0.1"),
         ("warp_strength", False),
         ("feature_corr", float("nan")),
+        pytest.param("noise_sigma", 10**400, id="noise_sigma-10**400"),
     ],
 )
 def test_spec_from_dict_checks_field_types(field, value):
@@ -247,6 +248,13 @@ def test_spec_from_dict_checks_field_types(field, value):
     }
     with pytest.raises(ValidationError, match=rf"generator field '{field}' must be"):
         GeneratorSpec.from_dict(doc)
+
+
+def test_spec_built_in_code_checks_field_types():
+    with pytest.raises(ValidationError, match="generator field 'n_train_classes'"):
+        GeneratorSpec(5.0, 2, 2, 3)
+    with pytest.raises(ValidationError, match="generator field 'noise_sigma'"):
+        GeneratorSpec(5, 2, 2, 3, noise_sigma=float("inf"))
 
 
 def test_spec_from_dict_accepts_ints_for_float_fields():
