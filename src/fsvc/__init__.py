@@ -10,22 +10,18 @@ from .align import (
     otam_similarity,
 )
 from .core import (
+    Episode,
     FeatureSequence,
     FsvcError,
     Manifest,
     RngStream,
     load_manifest,
     read_feature_file,
+    sample_episode,
     save_manifest,
     write_feature_file,
 )
-from .harness import (
-    Episode,
-    EvalReport,
-    build_splits,
-    evaluate,
-    sample_episode,
-)
+from .harness import EvalReport, build_splits, evaluate
 from .heads import (
     AdamState,
     LinearHead,

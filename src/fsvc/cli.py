@@ -17,6 +17,7 @@ from .protocols import (
     save_checkpoint,
     train_model,
 )
+from .selftest import run_selftest
 from .synthdata import (
     MANIFEST_NAME,
     PRETRAIN_MANIFEST_NAME,
@@ -93,8 +94,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    from .selftest import run_selftest
-
     return run_selftest()
 
 

@@ -1,4 +1,5 @@
-"""Domain types, deterministic RNG streams, and binary feature / manifest I/O.
+"""Domain types, deterministic RNG streams, binary feature / manifest I/O,
+and the loaded splits and sampled episodes every method trains and tests on.
 
 Everything downstream (generation, alignment, training, evaluation) rests on
 three contracts defined here: feature sequences are finite (T, C_in) float64
@@ -16,6 +17,7 @@ import os
 import struct
 import sys
 from dataclasses import dataclass, fields
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -487,19 +489,14 @@ def rebase_manifest(manifest: Manifest, new_root: str | Path) -> Manifest:
     )
 
 
-def empty_frames(manifest: Manifest, n: int, what: str) -> np.ndarray:
-    """A new (n, frame_count, feature_dim) float64 block for ``what``.
-
-    Manifest dims too large to allocate are a ``ValidationError`` naming
-    ``what`` and the dims, raised before any file is read.
-    """
+def empty_frames(what: str, **dims: int) -> np.ndarray:
+    """A new float64 array for ``what``, shaped by the values of ``dims``;
+    dims too large to allocate are a ``ValidationError`` naming each dim."""
     try:
-        return np.empty((n, manifest.frame_count, manifest.feature_dim))
+        return np.empty(tuple(dims.values()))
     except (ValueError, MemoryError) as exc:
-        raise ValidationError(
-            f"{what}: cannot allocate {n} video(s) of manifest frame_count "
-            f"{manifest.frame_count} x feature_dim {manifest.feature_dim}: {exc}"
-        ) from exc
+        named = " x ".join(f"{name} {size}" for name, size in dims.items())
+        raise ValidationError(f"{what}: cannot allocate {named}: {exc}") from exc
 
 
 def load_sequence(
@@ -511,10 +508,179 @@ def load_sequence(
     float64 row, or into a new array when it is None.
     """
     if out is None:
-        out = empty_frames(manifest, 1, f"video {entry.video_id!r}")[0]
+        out = empty_frames(
+            f"video {entry.video_id!r}",
+            frame_count=manifest.frame_count,
+            feature_dim=manifest.feature_dim,
+        )
     return read_feature_file(
         manifest.resolve(entry),
         video_id=entry.video_id,
         class_id=entry.class_id,
         out=out,
     )
+
+
+# ---------------------------------------------------------------------------
+# loaded splits and episodes
+
+
+@dataclass(frozen=True)
+class Episode:
+    """One n-way k-shot task: labeled supports plus exactly one query."""
+
+    support: tuple[tuple[FeatureSequence, int], ...]
+    query: tuple[FeatureSequence, int]
+    class_map: dict[int, int]  # local label -> global class_id
+
+
+def validate_episode(episode: Episode, n_way: int, k_shot: int) -> None:
+    """Raise unless the episode satisfies its structural invariants."""
+    counts = [0] * n_way
+    support_ids = set()
+    for seq, lab in episode.support:
+        if not 0 <= lab < n_way:
+            raise ValidationError(f"support label {lab} out of range")
+        if seq.class_id != episode.class_map[lab]:
+            raise ValidationError(
+                f"support {seq.video_id!r}: class {seq.class_id} does not match "
+                f"label {lab} -> {episode.class_map[lab]}"
+            )
+        counts[lab] += 1
+        support_ids.add(seq.video_id)
+    if counts != [k_shot] * n_way:
+        raise ValidationError(f"support counts {counts} != {k_shot} per class")
+    if len(support_ids) != n_way * k_shot:
+        raise ValidationError("duplicate support video ids")
+    q_seq, q_lab = episode.query
+    if not 0 <= q_lab < n_way:
+        raise ValidationError(f"query label {q_lab} out of range")
+    if q_seq.class_id != episode.class_map[q_lab]:
+        raise ValidationError("query label does not match its class")
+    if q_seq.video_id in support_ids:
+        raise ValidationError(
+            f"query video {q_seq.video_id!r} also appears in the support set"
+        )
+    if len(set(episode.class_map.values())) != n_way:
+        raise ValidationError("episode classes are not distinct")
+
+
+@dataclass(frozen=True)
+class SplitData:
+    """One manifest split, fully loaded and grouped by class.
+
+    ``frames`` is the split's read-only (N, T, C_in) block, its rows in
+    (class_id, video_id) order, the order of ``by_class``; each sequence's
+    frames are a view of its row, so the split's frames are held once.
+    ``labels`` is read-only too: row i's class is ``class_ids[labels[i]]``.
+    """
+
+    class_ids: tuple[int, ...]
+    by_class: dict[int, tuple[FeatureSequence, ...]]
+    frames: np.ndarray
+    labels: np.ndarray
+
+
+def load_split(manifest: Manifest, split: str) -> SplitData:
+    """Read the split's files, in manifest order, each into its row of one
+    float64 block, which is then made read-only."""
+    entries = manifest.split_videos(split)
+    ordered = sorted(entries, key=lambda e: (e.class_id, e.video_id))
+    slot = {e.video_id: s for s, e in enumerate(ordered)}  # ids are unique
+    frames = empty_frames(
+        f"{split} split",
+        videos=len(entries),
+        frame_count=manifest.frame_count,
+        feature_dim=manifest.feature_dim,
+    )
+    loaded = {
+        e.video_id: load_sequence(manifest, e, out=frames[slot[e.video_id]])
+        for e in entries
+    }
+    frames.flags.writeable = False
+    by_class = {
+        cid: tuple(loaded[e.video_id] for e in group)
+        for cid, group in groupby(ordered, key=lambda e: e.class_id)
+    }
+    counts = [len(videos) for videos in by_class.values()]
+    labels = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
+    labels.flags.writeable = False
+    return SplitData(
+        class_ids=tuple(by_class), by_class=by_class, frames=frames, labels=labels
+    )
+
+
+def _check_capacity(
+    data: SplitData, n_way: int, k_shot: int, split: str = "split"
+) -> None:
+    if len(data.class_ids) < n_way:
+        raise CapacityError(
+            f"{split} has {len(data.class_ids)} classes, need {n_way}"
+        )
+    for cid in data.class_ids:
+        have = len(data.by_class[cid])
+        if have < k_shot + 1:
+            raise CapacityError(
+                f"class {cid} of the {split} has {have} videos, need {k_shot + 1} "
+                f"({k_shot} supports plus a query candidate)"
+            )
+
+
+# Generator.choice's own set-up costs about five scalar integers() calls, and
+# a Floyd draw of `size` picks makes 2 * size - 1 of them, so only the
+# smallest draws are cheaper made one by one.  choice runs Floyd's algorithm
+# for every size this small: it switches to a tail shuffle only for
+# pop > 10000 and size > pop // 50.
+_SCALAR_PICKS_MAX = 2
+
+
+def _choice(gen: np.random.Generator, pop: int, size: int) -> list[int]:
+    """``gen.choice(pop, size, replace=False).tolist()``, 0 <= size <= pop.
+
+    Up to ``_SCALAR_PICKS_MAX`` picks are drawn as choice draws them, without
+    its Python-level set-up: Floyd's ``integers(j + 1)`` for j from
+    pop - size to pop - 1 (a repeat becomes j), then a Fisher-Yates shuffle
+    with ``integers(i + 1)`` for i from size - 1 down to 1.  The picks and the
+    generator state after them are those of ``gen.choice``.
+    """
+    if size > _SCALAR_PICKS_MAX:
+        return gen.choice(pop, size=size, replace=False).tolist()
+    integers = gen.integers
+    picks: list[int] = []
+    for j in range(pop - size, pop):
+        pick = int(integers(j + 1))
+        picks.append(j if pick in picks else pick)
+    for i in range(size - 1, 0, -1):
+        k = int(integers(i + 1))
+        picks[i], picks[k] = picks[k], picks[i]
+    return picks
+
+
+def sample_episode(
+    data: SplitData,
+    n_way: int,
+    k_shot: int,
+    rng: RngStream | np.random.Generator,
+) -> Episode:
+    """Uniform episode draw: classes without replacement, then videos without
+    replacement within each class; one extra video from a uniformly chosen
+    class becomes the query."""
+    _check_capacity(data, n_way, k_shot)
+    gen = as_generator(rng)
+    chosen = _choice(gen, len(data.class_ids), n_way)
+    query_slot = int(gen.integers(n_way))
+    support: list[tuple[FeatureSequence, int]] = []
+    query: tuple[FeatureSequence, int] | None = None
+    class_map: dict[int, int] = {}
+    for local, idx in enumerate(chosen):
+        cid = data.class_ids[idx]
+        class_map[local] = cid
+        videos = data.by_class[cid]
+        need = k_shot + 1 if local == query_slot else k_shot
+        picks = _choice(gen, len(videos), need)
+        for pick in picks[:k_shot]:
+            support.append((videos[pick], local))
+        if local == query_slot:
+            query = (videos[picks[k_shot]], local)
+    assert query is not None
+    return Episode(support=tuple(support), query=query, class_map=class_map)

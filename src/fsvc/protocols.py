@@ -27,6 +27,7 @@ import math
 import struct
 from dataclasses import asdict, dataclass, replace
 from itertools import accumulate, chain, count
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -41,15 +42,20 @@ from .align import (
     saliency_similarity,
 )
 from .core import (
+    Episode,
     FormatError,
     LeakageError,
     LengthError,
     Manifest,
     RngStream,
+    SplitData,
     ValidationError,
+    _check_capacity,
     _stream_generators,
     as_generator,
     check_field_types,
+    load_split,
+    sample_episode,
 )
 from .heads import (
     AdamState,
@@ -258,7 +264,7 @@ class EpisodeArrays:
     label: int
 
 
-def episode_arrays(episode, n_way: int) -> EpisodeArrays:
+def episode_arrays(episode: Episode, n_way: int) -> EpisodeArrays:
     groups: list[list[np.ndarray]] = [[] for _ in range(n_way)]
     for seq, lab in episode.support:
         if not 0 <= lab < n_way:
@@ -533,7 +539,7 @@ def method_scores(
 
 def adapt_and_predict(
     model: TrainedModel,
-    episode,
+    episode: Episode,
     cfg: MethodConfig,
     rng: RngStream | np.random.Generator,
 ) -> int:
@@ -576,23 +582,24 @@ def adapt_and_predict(
     return int(np.argmax(linear_forward(novel, q_logits)))
 
 
+def _episode_hits(
+    model: TrainedModel, cfg: MethodConfig, data: SplitData, streams: Iterable[int]
+) -> Iterator[bool]:
+    """Whether the prediction is right, for one episode per stream id ``s``;
+    the episode is sampled and adapted on the generator of (cfg.seed, s)."""
+    # each generator serves one episode only, so one re-keyed Philox does
+    for gen in _stream_generators(cfg.seed, streams):
+        episode = sample_episode(data, cfg.n_way, cfg.k_shot, gen)
+        yield adapt_and_predict(model, episode, cfg, rng=gen) == episode.query[1]
+
+
 # ---------------------------------------------------------------------------
 # training
 
 
-def _split_to_arrays(split_data) -> tuple[np.ndarray, np.ndarray]:
-    """A loaded split's frames block (itself, not a copy) and each row's
-    index into ``class_ids``."""
-    counts = [len(split_data.by_class[cid]) for cid in split_data.class_ids]
-    labels = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
-    return split_data.frames, labels
-
-
 def _val_accuracy(model: TrainedModel, cfg: MethodConfig, val_data) -> float:
-    from . import harness  # deferred; harness imports this module at top level
-
     streams = range(STREAM_VAL_EPISODE, STREAM_VAL_EPISODE + cfg.val_episodes)
-    return sum(harness._episode_hits(model, cfg, val_data, streams)) / cfg.val_episodes
+    return sum(_episode_hits(model, cfg, val_data, streams)) / cfg.val_episodes
 
 
 def _fit(
@@ -601,7 +608,7 @@ def _fit(
     grads_at,
     stops: list[int],
     patience: float,
-    val_data,
+    val_data: SplitData | None,
 ) -> TrainedModel:
     """Adam on named parameters, one ``grads_at(params)`` per step, with the
     parameters frozen into a model and validated once the step count reaches
@@ -611,11 +618,9 @@ def _fit(
     the final parameters are returned; otherwise a val split that cannot
     supply an episode is an error before the first step.
     """
-    from . import harness
-
     validate = val_data is not None and bool(val_data.class_ids)
     if validate:
-        harness._check_capacity(val_data, cfg.n_way, cfg.k_shot, "val split")
+        _check_capacity(val_data, cfg.n_way, cfg.k_shot, "val split")
     state = AdamState.for_params(params, cfg.resolved_lr_base())
     best: TrainedModel | None = None
     best_acc = -1.0
@@ -653,14 +658,11 @@ def train_classification(
     never stops training early.  The returned model is the one with the best
     validation-episode accuracy (the final step when selection is disabled).
     """
-    from . import harness
-
-    train_data = harness.load_split(manifest, "train")
+    train_data = load_split(manifest, "train")
     if not train_data.class_ids:
         raise ValidationError("train split has no videos")
-    frames, labels = _split_to_arrays(train_data)
     n_classes = len(train_data.class_ids)
-    n_samples = frames.shape[0]
+    n_samples = len(train_data.labels)
 
     emb = embedding_init or init_embedding(
         RngStream(cfg.seed, stream_base + STREAM_INIT),
@@ -688,13 +690,13 @@ def train_classification(
         return classification_loss_and_grads(
             EmbeddingParams(p["embed_w"], p["embed_b"]),
             LinearHead(p["head_w"], p["head_b"]),
-            frames[idx],
-            labels[idx],
+            train_data.frames[idx],
+            train_data.labels[idx],
             mask,
         )[1]
 
     stops = [*range(cfg.val_every, cfg.train_steps, cfg.val_every), cfg.train_steps]
-    val_data = harness.load_split(manifest, "val") if select_by_val else None
+    val_data = load_split(manifest, "val") if select_by_val else None
     return _fit(cfg, params, grads_at, stops, math.inf, val_data)
 
 
@@ -709,14 +711,8 @@ def meta_train(
     validation-episode accuracy after each, keeps the best model, and stops
     early when accuracy has not improved for ``patience`` epochs.
     """
-    from . import harness
-
-    train_data = harness.load_split(manifest, "train")
-    if len(train_data.class_ids) < cfg.n_way:
-        raise ValidationError(
-            f"train split has {len(train_data.class_ids)} classes, "
-            f"need at least {cfg.n_way}"
-        )
+    train_data = load_split(manifest, "train")
+    _check_capacity(train_data, cfg.n_way, cfg.k_shot, "train split")
 
     emb = embedding_init or init_embedding(
         RngStream(cfg.seed, STREAM_INIT), cfg.embed_dim, manifest.feature_dim
@@ -728,11 +724,11 @@ def meta_train(
 
     def grads_at(p: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
         gen = next(streams)
-        episode = harness.sample_episode(train_data, cfg.n_way, cfg.k_shot, gen)
+        episode = sample_episode(train_data, cfg.n_way, cfg.k_shot, gen)
         return episode_loss_and_grads(p, episode_arrays(episode, cfg.n_way), cfg)[1]
 
     stops = [cfg.episodes_per_epoch * e for e in range(1, cfg.max_epochs + 1)]
-    val_data = harness.load_split(manifest, "val")
+    val_data = load_split(manifest, "val")
     return _fit(cfg, params, grads_at, stops, cfg.patience, val_data)
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .align import cosine, dtw, dtw_bruteforce, path_cost, validate_path
-from .core import FeatureSequence, RngStream
-from .harness import Episode
+from .core import Episode, FeatureSequence, RngStream
 from .heads import LinearHead, dropout_mask, linear_forward
 from .protocols import (
     EmbeddingParams,

@@ -25,6 +25,7 @@ from .core import (
     _stream_generators,
     as_generator,
     check_field_types,
+    empty_frames,
     save_manifest,
     write_feature_files,
 )
@@ -128,7 +129,8 @@ def gen_class_prototype(
     if feature_dim < 1 or length < 1:
         raise ValidationError("feature_dim and length must be >= 1")
     gen = as_generator(rng)
-    steps = gen.standard_normal((length, feature_dim))
+    steps = empty_frames("prototype", prototype_len=length, feature_dim=feature_dim)
+    gen.standard_normal(out=steps)
     if corr_width > 0.0:
         steps = steps @ _correlation_kernel(feature_dim, corr_width)
     traj = np.cumsum(steps, axis=0)
@@ -185,8 +187,10 @@ def _video_block(
             f"prototype has {proto.shape[0]} rows, spec says {spec.prototype_len}"
         )
     t = spec.frame_count
-    u = np.empty((count, t))
-    noise = np.empty((count, t, proto.shape[1]))
+    u = empty_frames("video block", videos=count, frame_count=t)
+    noise = empty_frames(
+        "video block", videos=count, frame_count=t, feature_dim=proto.shape[1]
+    )
     for u_row, noise_rows, gen in zip(u, noise, gens):
         gen.random(out=u_row)
         if spec.noise_sigma > 0.0:

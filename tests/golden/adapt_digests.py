@@ -32,8 +32,8 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from fsvc.core import load_manifest
-from fsvc.harness import accuracy_vector, load_split
+from fsvc.core import load_manifest, load_split
+from fsvc.harness import accuracy_vector
 from fsvc.protocols import MethodConfig, TrainedModel, train_model
 from fsvc.synthdata import MANIFEST_NAME, GeneratorSpec, gen_benchmark
 

@@ -36,8 +36,8 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
-from fsvc.core import RngStream, load_manifest
-from fsvc.harness import accuracy_vector, load_split, sample_episode
+from fsvc.core import RngStream, load_manifest, load_split, sample_episode
+from fsvc.harness import accuracy_vector
 from fsvc.protocols import (
     METRIC_METHODS,
     MethodConfig,

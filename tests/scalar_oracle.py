@@ -24,14 +24,15 @@ from fsvc.core import (
     CapacityError,
     CoverageError,
     DegenerateInputError,
+    Episode,
     FeatureSequence,
     RngStream,
     ShapeError,
+    SplitData,
     ValidationError,
     as_generator,
 )
 from fsvc.align import SaliencyParams
-from fsvc.harness import Episode, SplitData
 from fsvc.heads import LinearHead
 from fsvc.protocols import EmbeddingParams, EpisodeArrays
 

@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from fsvc.align import dtw, dtw_bruteforce, path_cost, validate_path
-from fsvc.core import RngStream
+from fsvc.core import RngStream, load_split
 from fsvc.harness import (
     accuracy_vector,
     build_splits,
     ci95_halfwidth,
     evaluate,
-    load_split,
     report_bytes,
 )
 from fsvc.protocols import (

@@ -15,8 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from fsvc.core import load_manifest
-from fsvc.harness import load_split
+from fsvc.core import load_manifest, load_split
 from fsvc.protocols import train_model
 
 _SCRIPT = Path(__file__).resolve().parent / "golden" / "adapt_digests.py"

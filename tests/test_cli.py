@@ -322,6 +322,33 @@ def test_gen_bad_spec_is_clean_error(tmp_path, text, message):
     assert not (tmp_path / "out").exists()
 
 
+# each spec's first array overflows intp, so numpy refuses before allocating:
+# a (2**40, 2**40) prototype, or the (2**62, 5) warp draws of a class's videos
+@pytest.mark.parametrize(
+    "dims, message",
+    [
+        (
+            {"feature_dim": 2**40, "prototype_len": 2**40},
+            f"error: prototype: cannot allocate prototype_len {2**40} x "
+            f"feature_dim {2**40}: ",
+        ),
+        (
+            {"videos_per_class": 2**62},
+            f"error: video block: cannot allocate videos {2**62} x frame_count 5: ",
+        ),
+    ],
+    ids=["prototype", "video-block"],
+)
+def test_gen_unallocatable_spec_dims_are_clean_error(tmp_path, dims, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, **dims}))
+    proc = _run_cli("gen", "--spec", str(spec), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(message)
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("key, value", [("frame_count", "eight"), ("feature_dim", 8.7)])
 def test_train_bad_manifest_header_is_clean_error(bench_dir, tmp_path, key, value):
     doc = json.loads((bench_dir / "bench" / "manifest.json").read_text())

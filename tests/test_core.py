@@ -22,6 +22,7 @@ from fsvc.core import (
     _stream_generators,
     load_manifest,
     load_sequence,
+    load_split,
     read_feature_file,
     save_manifest,
     write_feature_file,
@@ -259,8 +260,6 @@ def test_load_sequence_checks_manifest_dims(tmp_path):
 
 
 def test_unallocatable_manifest_dims_are_validation_errors(tmp_path):
-    from fsvc.harness import load_split
-
     _write_feature(tmp_path, "a", t=2, c=3)
     # (2**40)**2 frames overflow intp, so numpy refuses before allocating
     big = 2**40
@@ -297,8 +296,6 @@ def _break_file(tmp_path, name, fault):
     ],
 )
 def test_load_split_read_errors_stay_typed(tmp_path, fault, error, named):
-    from fsvc.harness import load_split
-
     # manifest order m, y, b, x; block order b, x, m, y.  Both y and x are
     # broken, and y is the first in manifest order.
     order = [("m", 1), ("y", 1), ("b", 0), ("x", 0)]

@@ -12,10 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
-from fsvc import harness, protocols
+from fsvc import core, protocols
 from fsvc.align import SaliencyParams
-from fsvc.core import FeatureSequence, FsvcError
-from fsvc.harness import SplitData
+from fsvc.core import FeatureSequence, FsvcError, SplitData
 from fsvc.protocols import EmbeddingParams, MethodConfig, TrainedModel
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -96,7 +95,10 @@ def build_split(case, rs: np.random.Generator) -> SplitData:
             FeatureSequence(f"c{c}v{v}", 100 + c, block[start + v]) for v in range(n)
         )
         start += n
-    return SplitData(class_ids=tuple(sorted(by_class)), by_class=by_class, frames=block)
+    labels = np.repeat(np.arange(len(case["counts"])), case["counts"])
+    return SplitData(
+        class_ids=tuple(sorted(by_class)), by_class=by_class, frames=block, labels=labels
+    )
 
 
 def random_models(case, rs: np.random.Generator):
@@ -138,7 +140,7 @@ def test_episode_path_matches_oracle_bitwise(case):
     # two episodes in a row, so the second starts from whatever buffered
     # half the first one left behind
     for _ in range(2):
-        episode = harness.sample_episode(data, n_way, k_shot, gen)
+        episode = core.sample_episode(data, n_way, k_shot, gen)
         ref = oracle.sample_episode(data, n_way, k_shot, ref_gen)
         assert episode_view(episode) == episode_view(ref)
         assert state_of(gen) == state_of(ref_gen)
@@ -174,7 +176,7 @@ def test_choice_helper_matches_generator_choice(scalar_max, skip, monkeypatch):
     """``_choice`` as it runs, and with its scalar draws used for every size on
     the Floyd side, against ``Generator.choice`` from the same state."""
     if scalar_max is not None:
-        monkeypatch.setattr(harness, "_SCALAR_PICKS_MAX", scalar_max)
+        monkeypatch.setattr(core, "_SCALAR_PICKS_MAX", scalar_max)
     for pop, sizes in POPULATIONS:
         for size in sizes:
             if scalar_max is not None and not floyd_side(pop, size):
@@ -182,7 +184,7 @@ def test_choice_helper_matches_generator_choice(scalar_max, skip, monkeypatch):
             seed = pop * 1009 + size
             gen = advanced(seed, skip)
             ref_gen = advanced(seed, skip)
-            picks = harness._choice(gen, pop, size)
+            picks = core._choice(gen, pop, size)
             ref = ref_gen.choice(pop, size=size, replace=False).tolist()
             assert picks == ref, (pop, size)
             assert state_of(gen) == state_of(ref_gen), (pop, size)

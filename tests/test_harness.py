@@ -9,25 +9,29 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fsvc.core import CapacityError, RngStream, load_manifest, read_feature_file
+from fsvc.core import (
+    CapacityError,
+    RngStream,
+    load_manifest,
+    load_split,
+    read_feature_file,
+    sample_episode,
+    validate_episode,
+)
 from fsvc.harness import (
     EvalReport,
     accuracy_vector,
     build_splits,
     ci95_halfwidth,
     evaluate,
-    load_split,
     report_bytes,
     report_to_dict,
-    sample_episode,
-    validate_episode,
 )
 from fsvc.protocols import (
     METHODS,
     STREAM_VAL_EPISODE,
     MethodConfig,
     TrainedModel,
-    _split_to_arrays,
     _val_accuracy,
     adapt_and_predict,
     init_embedding,
@@ -330,8 +334,8 @@ def test_split_frames_are_one_read_only_block(bench):
     split = load_split(bench, "train")
     assert split.frames.shape == (36, bench.frame_count, bench.feature_dim)
     assert split.frames.dtype == np.float64 and not split.frames.flags.writeable
-    frames, labels = _split_to_arrays(split)
-    assert frames is split.frames
+    labels = split.labels
+    assert labels.shape == (36,) and not labels.flags.writeable
     paths = {v.video_id: bench.resolve(v) for v in bench.split_videos("train")}
     row = 0
     for label, cid in enumerate(split.class_ids):
@@ -355,6 +359,7 @@ def test_empty_split_has_an_empty_block(bench):
     split = load_split(no_test, "test")
     assert split.class_ids == () and split.by_class == {}
     assert split.frames.shape == (0, bench.frame_count, bench.feature_dim)
+    assert split.labels.shape == (0,)
 
 
 _RSS_PROBE = """

@@ -16,8 +16,9 @@ from fsvc.core import (
     RngStream,
     ValidationError,
     load_manifest,
+    load_split,
+    sample_episode,
 )
-from fsvc.harness import load_split, sample_episode
 from fsvc.protocols import (
     CLASSIFIER_METHODS,
     METRIC_METHODS,
@@ -386,11 +387,11 @@ def test_train_classification_reaches_high_accuracy(tmp_path):
     model = train_classification(manifest, cfg, select_by_val=False)
     data = load_split(manifest, "train")
     from fsvc.heads import linear_forward
-    from fsvc.protocols import _split_to_arrays, pooled_embedding
+    from fsvc.protocols import pooled_embedding
 
-    frames, labels = _split_to_arrays(data)
-    logits = linear_forward(model.base_head, pooled_embedding(model.embedding, frames))
-    assert (logits.argmax(axis=1) == labels).mean() > 0.95
+    pooled = pooled_embedding(model.embedding, data.frames)
+    logits = linear_forward(model.base_head, pooled)
+    assert (logits.argmax(axis=1) == data.labels).mean() > 0.95
 
 
 def test_train_classification_deterministic(bench):
@@ -542,6 +543,21 @@ def test_val_split_without_capacity_fails_before_training(
     assert scripted_schedule["params"] == []
 
 
+def test_train_split_without_capacity_fails_before_training(
+    bench_no_val, scripted_schedule
+):
+    # five train classes of four videos each; drop three videos of one class
+    # so that it holds exactly k_shot = 1
+    thin = {v.video_id for v in bench_no_val.split_videos("train")[1:4]}
+    videos = tuple(v for v in bench_no_val.videos if v.video_id not in thin)
+    manifest = replace(bench_no_val, videos=videos)
+    cfg = _fast_cfg("meta-baseline", episodes_per_epoch=3)
+    message = r"class \d+ of the train split has 1 videos, need 2"
+    with pytest.raises(CapacityError, match=message):
+        meta_train(manifest, cfg)
+    assert scripted_schedule["params"] == []
+
+
 def test_adaptation_never_mutates_model(bench):
     manifest, _ = bench
     data = load_split(manifest, "test")
@@ -631,12 +647,11 @@ def test_pretrain_leakage_rejected(bench):
 
 def test_pretrained_init_lowers_early_training_loss(bench):
     manifest, pretrain = bench
-    from fsvc.protocols import _split_to_arrays
     from fsvc.heads import AdamState, adam_step, init_head
     from fsvc.protocols import STREAM_BATCH, STREAM_INIT
 
     train_data = load_split(manifest, "train")
-    frames, labels = _split_to_arrays(train_data)
+    frames, labels = train_data.frames, train_data.labels
     wins = 0
     for seed in range(5):
         cfg = _fast_cfg("baseline", seed=seed, train_steps=240)
