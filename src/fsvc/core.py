@@ -209,14 +209,6 @@ class FeatureSequence:
             )
         object.__setattr__(self, "frames", frames)
 
-    @property
-    def frame_count(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def feature_dim(self) -> int:
-        return self.frames.shape[1]
-
 
 def write_feature_files(frames: np.ndarray, paths: list[str | Path]) -> None:
     """Write row v of a (V, T, C_in) block to ``paths[v]`` in the FSVF layout.
@@ -253,11 +245,6 @@ def _open_in_place(path: str, flags: int) -> int:
     150-300 us, against about 15 us for the same bytes written in place.
     """
     return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
-def write_feature_file(seq: FeatureSequence, path: str | Path) -> None:
-    """Write one sequence in the FSVF binary layout (see write_feature_files)."""
-    write_feature_files(seq.frames[None], [path])
 
 
 def read_feature_file(
@@ -431,7 +418,7 @@ def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: not valid manifest JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: manifest is not a JSON object")
@@ -531,38 +518,6 @@ class Episode:
 
     support: tuple[tuple[FeatureSequence, int], ...]
     query: tuple[FeatureSequence, int]
-    class_map: dict[int, int]  # local label -> global class_id
-
-
-def validate_episode(episode: Episode, n_way: int, k_shot: int) -> None:
-    """Raise unless the episode satisfies its structural invariants."""
-    counts = [0] * n_way
-    support_ids = set()
-    for seq, lab in episode.support:
-        if not 0 <= lab < n_way:
-            raise ValidationError(f"support label {lab} out of range")
-        if seq.class_id != episode.class_map[lab]:
-            raise ValidationError(
-                f"support {seq.video_id!r}: class {seq.class_id} does not match "
-                f"label {lab} -> {episode.class_map[lab]}"
-            )
-        counts[lab] += 1
-        support_ids.add(seq.video_id)
-    if counts != [k_shot] * n_way:
-        raise ValidationError(f"support counts {counts} != {k_shot} per class")
-    if len(support_ids) != n_way * k_shot:
-        raise ValidationError("duplicate support video ids")
-    q_seq, q_lab = episode.query
-    if not 0 <= q_lab < n_way:
-        raise ValidationError(f"query label {q_lab} out of range")
-    if q_seq.class_id != episode.class_map[q_lab]:
-        raise ValidationError("query label does not match its class")
-    if q_seq.video_id in support_ids:
-        raise ValidationError(
-            f"query video {q_seq.video_id!r} also appears in the support set"
-        )
-    if len(set(episode.class_map.values())) != n_way:
-        raise ValidationError("episode classes are not distinct")
 
 
 @dataclass(frozen=True)
@@ -671,10 +626,8 @@ def sample_episode(
     query_slot = int(gen.integers(n_way))
     support: list[tuple[FeatureSequence, int]] = []
     query: tuple[FeatureSequence, int] | None = None
-    class_map: dict[int, int] = {}
     for local, idx in enumerate(chosen):
         cid = data.class_ids[idx]
-        class_map[local] = cid
         videos = data.by_class[cid]
         need = k_shot + 1 if local == query_slot else k_shot
         picks = _choice(gen, len(videos), need)
@@ -683,4 +636,4 @@ def sample_episode(
         if local == query_slot:
             query = (videos[picks[k_shot]], local)
     assert query is not None
-    return Episode(support=tuple(support), query=query, class_map=class_map)
+    return Episode(support=tuple(support), query=query)

@@ -23,7 +23,6 @@ from .core import (
     SplitData,
     ValidationError,
     VideoEntry,
-    _check_capacity,
     load_split,
     sample_episode,  # unused here; see the module docstring
 )
@@ -73,7 +72,6 @@ def accuracy_vector(
     """Per-episode 0/1 accuracies; episode e draws from stream (seed, e)."""
     if n_episodes < 1:
         raise ValidationError(f"need at least 1 episode, got {n_episodes}")
-    _check_capacity(data, cfg.n_way, cfg.k_shot)
     hits = _episode_hits(model, cfg, data, range(n_episodes))
     return np.fromiter(hits, np.float64, n_episodes)
 

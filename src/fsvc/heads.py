@@ -36,7 +36,7 @@ _sum_reduce = np.add.reduce
 @dataclass(frozen=True, eq=False)
 class LinearHead:
     """Frozen affine map x -> W x + b, with W of shape (C_out, D): a classifier
-    head, or the per-frame embedding (``protocols.EmbeddingParams``)."""
+    head, or the per-frame embedding."""
 
     weight: np.ndarray
     bias: np.ndarray

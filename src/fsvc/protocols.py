@@ -93,24 +93,20 @@ FSVM_BLOCKS = {
 }
 
 
-# the per-frame feature extractor: each frame x maps to W x + b
-EmbeddingParams = LinearHead
-
-
 def init_embedding(
     rng: RngStream | np.random.Generator, out_dim: int, in_dim: int
-) -> EmbeddingParams:
+) -> LinearHead:
     gen = as_generator(rng)
     w = gen.standard_normal((out_dim, in_dim)) / np.sqrt(in_dim)
-    return EmbeddingParams(w, np.zeros(out_dim))
+    return LinearHead(w, np.zeros(out_dim))
 
 
-def embed_frames(emb: EmbeddingParams, frames: np.ndarray) -> np.ndarray:
+def embed_frames(emb: LinearHead, frames: np.ndarray) -> np.ndarray:
     """Apply the affine map to every frame; works on (..., T, C_in) batches."""
     return np.asarray(frames, dtype=np.float64) @ emb.weight.T + emb.bias
 
 
-def pooled_embedding(emb: EmbeddingParams, frames: np.ndarray) -> np.ndarray:
+def pooled_embedding(emb: LinearHead, frames: np.ndarray) -> np.ndarray:
     """Per-frame embed, then mean over time: (..., T, C_in) -> (..., C)."""
     e = embed_frames(emb, frames)
     # ndarray.mean's own arithmetic, without its Python wrapper
@@ -212,7 +208,7 @@ class MethodConfig:
 class TrainedModel:
     """Frozen training output: embedding plus method-dependent components."""
 
-    embedding: EmbeddingParams
+    embedding: LinearHead
     base_head: LinearHead | None
     saliency: SaliencyParams | None
     config: MethodConfig
@@ -248,7 +244,7 @@ def _model_from_params(
     if "sal_q" in params:
         saliency = SaliencyParams(params["sal_q"])
     return TrainedModel(
-        embedding=EmbeddingParams(params["embed_w"], params["embed_b"]),
+        embedding=LinearHead(params["embed_w"], params["embed_b"]),
         base_head=base_head,
         saliency=saliency,
         config=cfg,
@@ -310,7 +306,7 @@ def _embedding_grads(dE: np.ndarray, inputs: np.ndarray) -> dict[str, np.ndarray
 
 
 def classification_loss_and_grads(
-    emb: EmbeddingParams,
+    emb: LinearHead,
     head: LinearHead,
     frames: np.ndarray,
     labels: np.ndarray,
@@ -339,7 +335,7 @@ def classification_loss_and_grads(
 
 
 def metabaseline_loss_and_grads(
-    emb: EmbeddingParams, ep: EpisodeArrays, tau: float
+    emb: LinearHead, ep: EpisodeArrays, tau: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Episode loss for cosine-to-prototype matching of pooled embeddings.
 
@@ -369,7 +365,7 @@ def metabaseline_loss_and_grads(
 
 
 def cmn_loss_and_grads(
-    emb: EmbeddingParams, sal: SaliencyParams, ep: EpisodeArrays, tau: float
+    emb: LinearHead, sal: SaliencyParams, ep: EpisodeArrays, tau: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Episode loss for multi-saliency descriptor matching.
 
@@ -412,7 +408,7 @@ def cmn_loss_and_grads(
 
 
 def otam_loss_and_grads(
-    emb: EmbeddingParams,
+    emb: LinearHead,
     ep: EpisodeArrays,
     tau: float,
     normalize: bool = False,
@@ -482,7 +478,7 @@ def episode_loss_and_grads(
     (``embed_w``, ``embed_b``, and ``sal_q`` for cmn-lite), plus otam-lite's
     alignment paths (None for the other methods), which ``paths`` freezes.
     """
-    emb = EmbeddingParams(params["embed_w"], params["embed_b"])
+    emb = LinearHead(params["embed_w"], params["embed_b"])
     if cfg.method == "meta-baseline":
         return (*metabaseline_loss_and_grads(emb, ep, cfg.temperature), None)
     if cfg.method == "cmn-lite":
@@ -646,7 +642,7 @@ def _fit(
 def train_classification(
     manifest: Manifest,
     cfg: MethodConfig,
-    embedding_init: EmbeddingParams | None = None,
+    embedding_init: LinearHead | None = None,
     select_by_val: bool = True,
     stream_base: int = 0,
 ) -> TrainedModel:
@@ -688,7 +684,7 @@ def train_classification(
         if use_dropout:
             mask = dropout_mask(gen, cfg.dropout_p, (batch, cfg.embed_dim))
         return classification_loss_and_grads(
-            EmbeddingParams(p["embed_w"], p["embed_b"]),
+            LinearHead(p["embed_w"], p["embed_b"]),
             LinearHead(p["head_w"], p["head_b"]),
             train_data.frames[idx],
             train_data.labels[idx],
@@ -703,7 +699,7 @@ def train_classification(
 def meta_train(
     manifest: Manifest,
     cfg: MethodConfig,
-    embedding_init: EmbeddingParams | None = None,
+    embedding_init: LinearHead | None = None,
 ) -> TrainedModel:
     """Episodic training of a metric method on the train split.
 
@@ -736,7 +732,7 @@ def pretrain_embedding(
     pretrain_manifest: Manifest | None,
     cfg: MethodConfig,
     benchmark: Manifest | None = None,
-) -> EmbeddingParams:
+) -> LinearHead:
     """Train the embedding by classification on a disjoint pretraining set.
 
     Missing or empty pretraining data is an error, so a model never records

@@ -15,7 +15,6 @@ from .align import cosine, dtw, dtw_bruteforce, path_cost, validate_path
 from .core import Episode, FeatureSequence, RngStream
 from .heads import LinearHead, dropout_mask, linear_forward
 from .protocols import (
-    EmbeddingParams,
     EpisodeArrays,
     MethodConfig,
     TrainedModel,
@@ -93,7 +92,7 @@ def _grad_case(kind: str, gen: np.random.Generator) -> float:
 
         def loss_and_grads(p):
             return classification_loss_and_grads(
-                EmbeddingParams(p["embed_w"], p["embed_b"]),
+                LinearHead(p["embed_w"], p["embed_b"]),
                 LinearHead(p["head_w"], p["head_b"]),
                 frames,
                 labels,
@@ -165,7 +164,6 @@ def check_imprint_argmax(n_episodes: int = 200, seed: int = 7) -> str | None:
         episode = Episode(
             support,
             (FeatureSequence("q", q_lab, gen.standard_normal((t, c_in))), q_lab),
-            class_map={lab: lab for lab in range(n_way)},
         )
         pred = adapt_and_predict(model, episode, cfg, rng=gen)
         # independent route: nearest support template by cosine in logit space

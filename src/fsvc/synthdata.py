@@ -17,7 +17,6 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    FeatureSequence,
     Manifest,
     RngStream,
     ValidationError,
@@ -162,13 +161,6 @@ def _warp_rows(u: np.ndarray, length: int, strength: float) -> np.ndarray:
     return pos
 
 
-def _warp_positions(
-    gen: np.random.Generator, t: int, length: int, strength: float
-) -> np.ndarray:
-    """The frame positions of one video: ``_warp_rows`` on T draws of ``gen``."""
-    return _warp_rows(gen.random((1, t)), length, strength)[0]
-
-
 def _video_block(
     proto: np.ndarray,
     spec: GeneratorSpec,
@@ -200,18 +192,6 @@ def _video_block(
         noise *= spec.noise_sigma
         frames += noise
     return frames
-
-
-def gen_video(
-    proto: np.ndarray,
-    spec: GeneratorSpec,
-    rng: RngStream | np.random.Generator,
-    video_id: str = "",
-    class_id: int = 0,
-) -> FeatureSequence:
-    """Sample one video from a class prototype: warped positions plus noise."""
-    frames = _video_block(proto, spec, [as_generator(rng)], 1)[0]
-    return FeatureSequence(video_id=video_id, class_id=class_id, frames=frames)
 
 
 def gen_benchmark(spec: GeneratorSpec, out_dir: str | Path) -> Manifest:

@@ -34,7 +34,7 @@ from fsvc.core import (
 )
 from fsvc.align import SaliencyParams
 from fsvc.heads import LinearHead
-from fsvc.protocols import EmbeddingParams, EpisodeArrays
+from fsvc.protocols import EpisodeArrays
 
 _NORM_TOL = 1e-300
 
@@ -107,11 +107,11 @@ def dtw(dist: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     return float(acc[tq - 1, ts - 1]), path
 
 
-def embed_frames(emb: EmbeddingParams, frames: np.ndarray) -> np.ndarray:
+def embed_frames(emb: LinearHead, frames: np.ndarray) -> np.ndarray:
     return np.asarray(frames, dtype=np.float64) @ emb.weight.T + emb.bias
 
 
-def pooled_embedding(emb: EmbeddingParams, frames: np.ndarray) -> np.ndarray:
+def pooled_embedding(emb: LinearHead, frames: np.ndarray) -> np.ndarray:
     return embed_frames(emb, frames).mean(axis=-2)
 
 
@@ -252,7 +252,7 @@ def _embedding_grads(dE: np.ndarray, inputs: np.ndarray) -> dict[str, np.ndarray
 
 
 def metabaseline_loss_and_grads(
-    emb: EmbeddingParams, ep: EpisodeArrays, tau: float
+    emb: LinearHead, ep: EpisodeArrays, tau: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     q = pooled_embedding(emb, ep.query)  # (C,)
     protos = [pooled_embedding(emb, frames).mean(axis=0) for frames in ep.support]
@@ -289,7 +289,7 @@ def _saliency_backward(
 
 
 def cmn_loss_and_grads(
-    emb: EmbeddingParams, sal: SaliencyParams, ep: EpisodeArrays, tau: float
+    emb: LinearHead, sal: SaliencyParams, ep: EpisodeArrays, tau: float
 ) -> tuple[float, dict[str, np.ndarray]]:
     n_heads = sal.n_heads
     q_emb = embed_frames(emb, ep.query)
@@ -347,7 +347,7 @@ def cmn_loss_and_grads(
 
 
 def otam_loss_and_grads(
-    emb: EmbeddingParams,
+    emb: LinearHead,
     ep: EpisodeArrays,
     tau: float,
     normalize: bool = False,
@@ -479,10 +479,8 @@ def sample_episode(
     query_slot = int(gen.integers(n_way))
     support: list[tuple[FeatureSequence, int]] = []
     query: tuple[FeatureSequence, int] | None = None
-    class_map: dict[int, int] = {}
     for local, idx in enumerate(chosen):
         cid = data.class_ids[int(idx)]
-        class_map[local] = cid
         videos = data.by_class[cid]
         need = k_shot + 1 if local == query_slot else k_shot
         picks = gen.choice(len(videos), size=need, replace=False)
@@ -491,7 +489,7 @@ def sample_episode(
         if local == query_slot:
             query = (videos[int(picks[k_shot])], local)
     assert query is not None
-    return Episode(support=tuple(support), query=query, class_map=class_map)
+    return Episode(support=tuple(support), query=query)
 
 
 def otam_similarity(

@@ -24,14 +24,15 @@ from fsvc.core import (
     ShapeError,
     ValidationError,
 )
-from fsvc.protocols import EmbeddingParams, pooled_embedding
+from fsvc.heads import LinearHead
+from fsvc.protocols import pooled_embedding
 
 
 def mean_pool(seq):
     """Temporal mean pooling as the methods do it: pooled_embedding under the
     identity embedding."""
     c = seq.shape[1]
-    return pooled_embedding(EmbeddingParams(np.eye(c), np.zeros(c)), seq)
+    return pooled_embedding(LinearHead(np.eye(c), np.zeros(c)), seq)
 
 
 def test_mean_pool_arithmetic():

@@ -383,6 +383,23 @@ def test_train_unallocatable_manifest_dims_are_clean_error(bench_dir, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["splits", "train", "eval"])
+def test_manifest_that_is_not_utf8_is_clean_error(untrained_ckpt, tmp_path, command):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_bytes(b'{"frame_count": 5, "classes": ["\xff"]}')
+    out = tmp_path / "out"
+    argv = {
+        "splits": ["--classes", "2,2,2", "--out", str(out)],
+        "train": ["--method", "baseline", "--out", str(out)],
+        "eval": ["--ckpt", str(untrained_ckpt), "--report", str(out)],
+    }[command]
+    proc = _run_cli(command, "--manifest", str(manifest), *argv)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {manifest}: not valid manifest JSON: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "method, flag, value, field",
     [

@@ -25,9 +25,13 @@ from fsvc.core import (
     load_split,
     read_feature_file,
     save_manifest,
-    write_feature_file,
     write_feature_files,
 )
+
+
+def write_feature_file(seq, path):
+    """Write one sequence as a one-row block."""
+    write_feature_files(seq.frames[None], [path])
 
 
 def test_zero_sequence_file_layout(tmp_path):

@@ -1,7 +1,7 @@
 """Differential tests: the episode sampler and the metric-method scores against
 their frozen ``Generator.choice`` and ``np.mean`` forms.
 
-Every comparison is exact: the same picks, labels and class map, the same
+Every comparison is exact: the same picks and labels, the same
 Philox state after sampling (so whatever the episode draws next, such as a
 baseline head's initial weights, is unchanged), and the same score bytes.
 """
@@ -15,7 +15,8 @@ import scalar_oracle as oracle
 from fsvc import core, protocols
 from fsvc.align import SaliencyParams
 from fsvc.core import FeatureSequence, FsvcError, SplitData
-from fsvc.protocols import EmbeddingParams, MethodConfig, TrainedModel
+from fsvc.heads import LinearHead
+from fsvc.protocols import MethodConfig, TrainedModel
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -44,7 +45,6 @@ def episode_view(episode):
     return (
         [(seq.video_id, lab) for seq, lab in episode.support],
         (episode.query[0].video_id, episode.query[1]),
-        episode.class_map,
     )
 
 
@@ -103,7 +103,7 @@ def build_split(case, rs: np.random.Generator) -> SplitData:
 
 def random_models(case, rs: np.random.Generator):
     dim, in_dim = case["dim"], case["in_dim"]
-    emb = EmbeddingParams(
+    emb = LinearHead(
         rs.standard_normal((dim, in_dim)), rs.standard_normal(dim)
     )
     sal = SaliencyParams(rs.standard_normal((case["heads"], dim)))

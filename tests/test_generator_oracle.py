@@ -17,10 +17,9 @@ from fsvc.core import RngStream, load_manifest, load_sequence, read_feature_file
 from fsvc.synthdata import (
     GeneratorSpec,
     _video_block,
-    _warp_positions,
+    _warp_rows,
     gen_benchmark,
     gen_class_prototype,
-    gen_video,
 )
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -50,7 +49,7 @@ def _spec(t: int, length: int, strength: float, sigma: float, c: int = 3):
 @example(t=16, extra=48, strength=1.0, stream=2)
 def test_warp_positions_match_oracle(t, extra, strength, stream):
     length = t + extra
-    got = _warp_positions(RngStream(5, stream).generator(), t, length, strength)
+    got = _warp_rows(RngStream(5, stream).generator().random((1, t)), length, strength)[0]
     want = oracle._warp_positions(RngStream(5, stream).generator(), t, length, strength)
     assert same_bits(got, want)
 
@@ -69,11 +68,9 @@ def test_warp_positions_match_oracle(t, extra, strength, stream):
 def test_gen_video_matches_oracle(t, extra, strength, sigma, c, stream):
     spec = _spec(t, t + extra, strength, sigma, c)
     proto = gen_class_prototype(RngStream(6, stream), c, spec.prototype_len)
-    got = gen_video(proto, spec, RngStream(6, stream), video_id="v", class_id=2)
-    want = oracle.gen_video(proto, spec, RngStream(6, stream), video_id="v", class_id=2)
-    assert same_bits(got.frames, want.frames)
-    assert (got.video_id, got.class_id) == (want.video_id, want.class_id)
-    assert not got.frames.flags.writeable
+    got = _video_block(proto, spec, [RngStream(6, stream).generator()], 1)[0]
+    want = oracle.gen_video(proto, spec, RngStream(6, stream))
+    assert same_bits(got, want.frames)
 
 
 @pytest.mark.parametrize("v", [1, 7, 40])

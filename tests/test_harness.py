@@ -16,7 +16,6 @@ from fsvc.core import (
     load_split,
     read_feature_file,
     sample_episode,
-    validate_episode,
 )
 from fsvc.harness import (
     EvalReport,
@@ -59,6 +58,29 @@ def bench(tmp_path_factory):
     return gen_benchmark(spec, out)
 
 
+def check_episode(episode, n_way: int, k_shot: int) -> None:
+    """Assert the episode's structure: k_shot distinct supports for each of
+    n_way labels, each label one class, and a query of a labeled class that
+    is not among the supports."""
+    counts = [0] * n_way
+    class_of: dict[int, int] = {}
+    for seq, lab in episode.support:
+        assert 0 <= lab < n_way, f"support label {lab} out of range"
+        assert class_of.setdefault(lab, seq.class_id) == seq.class_id, (
+            f"support {seq.video_id!r}: class {seq.class_id} under label {lab} "
+            f"of class {class_of[lab]}"
+        )
+        counts[lab] += 1
+    assert counts == [k_shot] * n_way, f"support counts {counts}"
+    support_ids = {seq.video_id for seq, _ in episode.support}
+    assert len(support_ids) == n_way * k_shot, "duplicate support video ids"
+    assert len(set(class_of.values())) == n_way, "episode classes are not distinct"
+    q_seq, q_lab = episode.query
+    assert 0 <= q_lab < n_way, f"query label {q_lab} out of range"
+    assert q_seq.class_id == class_of[q_lab], "query label does not match its class"
+    assert q_seq.video_id not in support_ids, "query video is also a support"
+
+
 def test_episode_structural_fuzz(bench):
     data = load_split(bench, "test")
     for e in range(100_000):
@@ -66,7 +88,7 @@ def test_episode_structural_fuzz(bench):
         n_way = 3 + e % 3
         k_shot = 1 + e % 4
         episode = sample_episode(data, n_way, k_shot, gen)
-        validate_episode(episode, n_way, k_shot)
+        check_episode(episode, n_way, k_shot)
 
 
 def test_episode_deterministic_per_stream(bench):
@@ -76,7 +98,8 @@ def test_episode_deterministic_per_stream(bench):
         b = sample_episode(data, 5, 1, RngStream(3, e))
         assert [s.video_id for s, _ in a.support] == [s.video_id for s, _ in b.support]
         assert a.query[0].video_id == b.query[0].video_id
-        assert a.class_map == b.class_map
+        assert [lab for _, lab in a.support] == [lab for _, lab in b.support]
+        assert a.query[1] == b.query[1]
 
 
 def test_capacity_errors(bench):

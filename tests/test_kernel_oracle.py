@@ -127,7 +127,7 @@ def test_frame_distance_matrix_matches_oracle_bitwise(pair):
 )
 def test_pooled_embedding_matches_oracle_bitwise(seed, lead, t, c_in, d, rounded):
     gen = np.random.default_rng(seed)
-    emb = protocols.EmbeddingParams(
+    emb = heads.LinearHead(
         gen.standard_normal((d, c_in)), gen.standard_normal(d)
     )
     frames = gen.standard_normal((*lead, t, c_in))

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import scalar_oracle as oracle
 from fsvc import protocols
 from fsvc.align import SaliencyParams
+from fsvc.heads import LinearHead
 
 SETTINGS = settings(max_examples=150, deadline=None)
 REL = 1e-12
@@ -49,7 +50,7 @@ def episodes(draw):
     t = draw(st.integers(1, 8))
     c_in = draw(st.integers(2, 12))
     c = draw(st.integers(2, 16))
-    emb = protocols.EmbeddingParams(
+    emb = LinearHead(
         gen.standard_normal((c, c_in)) / np.sqrt(c_in), gen.standard_normal(c) * 0.1
     )
     ep = protocols.EpisodeArrays(

@@ -22,7 +22,6 @@ from fsvc.core import (
 from fsvc.protocols import (
     CLASSIFIER_METHODS,
     METRIC_METHODS,
-    EmbeddingParams,
     EpisodeArrays,
     MethodConfig,
     TrainedModel,
@@ -42,7 +41,7 @@ from fsvc.protocols import (
     train_classification,
     train_model,
 )
-from fsvc.heads import init_head
+from fsvc.heads import LinearHead, init_head
 from fsvc.selftest import _random_episode_arrays, max_fd_error
 from fsvc.synthdata import GeneratorSpec, gen_benchmark
 
@@ -179,10 +178,8 @@ def test_classification_gradient_matches_fd():
 
         def loss_fn(p):
             return classification_loss_and_grads(
-                EmbeddingParams(p["embed_w"], p["embed_b"]),
-                __import__("fsvc.heads", fromlist=["LinearHead"]).LinearHead(
-                    p["head_w"], p["head_b"]
-                ),
+                LinearHead(p["embed_w"], p["embed_b"]),
+                LinearHead(p["head_w"], p["head_b"]),
                 frames,
                 labels,
                 mask,
@@ -201,7 +198,7 @@ def test_metabaseline_gradient_matches_fd():
 
         def loss_fn(p):
             return metabaseline_loss_and_grads(
-                EmbeddingParams(p["embed_w"], p["embed_b"]), ep, 7.0
+                LinearHead(p["embed_w"], p["embed_b"]), ep, 7.0
             )[0]
 
         _, grads = metabaseline_loss_and_grads(emb, ep, 7.0)
@@ -222,7 +219,7 @@ def test_cmn_gradient_matches_fd():
 
         def loss_fn(p):
             return cmn_loss_and_grads(
-                EmbeddingParams(p["embed_w"], p["embed_b"]),
+                LinearHead(p["embed_w"], p["embed_b"]),
                 SaliencyParams(p["sal_q"]),
                 ep,
                 7.0,
@@ -242,7 +239,7 @@ def test_otam_gradient_matches_fd_with_frozen_path():
 
         def loss_fn(p):
             return otam_loss_and_grads(
-                EmbeddingParams(p["embed_w"], p["embed_b"]), ep, 7.0, paths=paths
+                LinearHead(p["embed_w"], p["embed_b"]), ep, 7.0, paths=paths
             )[0]
 
         assert max_fd_error(loss_fn, params, grads, gen) < GRAD_TOL
@@ -678,7 +675,7 @@ def test_pretrained_init_lowers_early_training_loss(bench):
             for _ in range(100):
                 idx = gen.choice(frames.shape[0], size=24, replace=False)
                 loss, grads = classification_loss_and_grads(
-                    EmbeddingParams(params["embed_w"], params["embed_b"]),
+                    LinearHead(params["embed_w"], params["embed_b"]),
                     __import__("fsvc.heads", fromlist=["LinearHead"]).LinearHead(
                         params["head_w"], params["head_b"]
                     ),

@@ -10,10 +10,10 @@ from fsvc.align import cosine, dtw, frame_distance_matrix
 from fsvc.core import RngStream, ValidationError, load_manifest, load_sequence
 from fsvc.synthdata import (
     GeneratorSpec,
-    _warp_positions,
+    _video_block,
+    _warp_rows,
     gen_benchmark,
     gen_class_prototype,
-    gen_video,
 )
 
 
@@ -32,6 +32,11 @@ def _spec(**kw):
     )
     base.update(kw)
     return GeneratorSpec(**base)
+
+
+def _video(proto, spec, rng):
+    """The (T, C_in) frames that ``rng``'s stream draws from ``proto``."""
+    return _video_block(proto, spec, [rng.generator()], 1)[0]
 
 
 def test_prototype_deterministic():
@@ -63,19 +68,19 @@ def test_unwarped_noiseless_video_is_uniform_subsample():
     proto = gen_class_prototype(RngStream(7, 0), spec.feature_dim, spec.prototype_len)
     expected_pos = np.rint(np.linspace(0, 15, 4)).astype(int)
     for stream in range(5):
-        video = gen_video(proto, spec, RngStream(7, 100 + stream))
-        assert np.array_equal(video.frames, proto[expected_pos])
+        video = _video(proto, spec, RngStream(7, 100 + stream))
+        assert np.array_equal(video, proto[expected_pos])
 
 
 def test_warped_video_frames_are_ordered_prototype_rows():
     spec = _spec(warp_strength=0.8)
     proto = gen_class_prototype(RngStream(7, 0), spec.feature_dim, spec.prototype_len)
     for stream in range(20):
-        video = gen_video(proto, spec, RngStream(7, 200 + stream))
+        video = _video(proto, spec, RngStream(7, 200 + stream))
         # recover each frame's prototype row index
         idx = [
             int(np.flatnonzero((proto == frame).all(axis=1))[0])
-            for frame in video.frames
+            for frame in video
         ]
         assert idx == sorted(idx)
         assert len(set(idx)) == len(idx)  # strictly increasing below strength 1
@@ -87,23 +92,23 @@ def test_warp_positions_strict_and_bounded():
         t = int(gen.integers(1, 9))
         length = t + int(gen.integers(0, 30))
         strength = float(gen.random())
-        pos = _warp_positions(gen, t, length, strength)
+        pos = _warp_rows(gen.random((1, t)), length, strength)[0]
         assert pos.min() >= 0 and pos.max() <= length - 1
         assert np.all(np.diff(pos) >= 1)
     # at full strength positions may repeat but stay monotone
     for _ in range(50):
-        pos = _warp_positions(gen, 6, 8, 1.0)
+        pos = _warp_rows(gen.random((1, 6)), 8, 1.0)[0]
         assert np.all(np.diff(pos) >= 0)
 
 
 def test_noise_mean_squared_deviation_matches_sigma():
     spec = _spec(noise_sigma=0.1, warp_strength=0.0)
     proto = gen_class_prototype(RngStream(9, 0), spec.feature_dim, spec.prototype_len)
-    clean = gen_video(proto, _spec(), RngStream(9, 1)).frames
+    clean = _video(proto, _spec(), RngStream(9, 1))
     total = 0.0
     n = 1000
     for i in range(n):
-        noisy = gen_video(proto, spec, RngStream(9, 1000 + i)).frames
+        noisy = _video(proto, spec, RngStream(9, 1000 + i))
         total += float(np.sum((noisy - clean) ** 2))
     expected = 0.01 * spec.feature_dim * spec.frame_count
     assert abs(total / n - expected) < 0.2 * expected
@@ -120,7 +125,7 @@ def test_benchmark_counts_and_disjoint_splits(tmp_path):
     # files load back through the manifest machinery
     reloaded = load_manifest(tmp_path / "bench" / "manifest.json")
     seq = load_sequence(reloaded, reloaded.videos[0])
-    assert seq.frame_count == 4 and seq.feature_dim == 8
+    assert seq.frames.shape == (4, 8)
 
 
 def test_benchmark_byte_identical_across_runs(tmp_path):
