@@ -29,7 +29,7 @@ from .synthdata import (
 def cmd_gen(args: argparse.Namespace) -> int:
     try:
         doc = json.loads(Path(args.spec).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"{args.spec}: not valid spec JSON: {exc}") from exc
     spec = GeneratorSpec.from_dict(doc)
     out = Path(args.out)

@@ -2,12 +2,14 @@
 and the loaded splits and sampled episodes every method trains and tests on.
 
 Everything downstream (generation, alignment, training, evaluation) rests on
-three contracts defined here: feature sequences are finite (T, C_in) float64
-matrices, manifests keep train/val/test class sets disjoint, and randomness
-comes from counter-keyed streams so any unit of work can be reproduced in
-isolation, independent of evaluation order.
+three contracts defined here: feature sequences are finite (T, C_in) float32
+or float64 matrices, manifests keep train/val/test class sets disjoint, and
+randomness comes from counter-keyed streams so any unit of work can be
+reproduced in isolation, independent of evaluation order.
 
-Disk layout is single precision; all in-memory computation is double.
+Frames are single precision on disk and in a loaded split, so a split holds
+the bytes of its files; every computation widens them to double first, which
+is exact, so results do not depend on which precision a sequence holds.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import json
 import os
 import struct
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -104,6 +106,13 @@ def check_field_types(record, label: str) -> None:
 # deterministic randomness
 
 
+def _check_stream_key(seed: int, stream_id: int) -> None:
+    if seed < 0 or stream_id < 0:
+        raise ValidationError(
+            f"seed and stream_id must be non-negative, got ({seed}, {stream_id})"
+        )
+
+
 @dataclass(frozen=True)
 class RngStream:
     """A named, counter-keyed random stream.
@@ -118,11 +127,7 @@ class RngStream:
     stream_id: int = 0
 
     def __post_init__(self) -> None:
-        if self.seed < 0 or self.stream_id < 0:
-            raise ValidationError(
-                f"seed and stream_id must be non-negative, got "
-                f"({self.seed}, {self.stream_id})"
-            )
+        _check_stream_key(self.seed, self.stream_id)
 
     def generator(self) -> np.random.Generator:
         key = np.array(
@@ -153,7 +158,7 @@ def _stream_generators(
         "uinteger": 0,
     }
     for stream_id in stream_ids:
-        RngStream(seed, stream_id)  # the same argument checks
+        _check_stream_key(seed, stream_id)
         state["state"]["key"] = (seed % (1 << 64), stream_id % (1 << 64))
         bitgen.state = state
         yield gen
@@ -174,9 +179,10 @@ def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
 class FeatureSequence:
     """One video, reduced to a (T, C_in) matrix of per-frame feature vectors.
 
-    Frames are stored as a read-only float64 array; row t is frame t.  A
-    read-only, C-contiguous float64 array (a loaded split's row) is kept as
-    given; anything else is copied.
+    Frames are stored as a read-only array; row t is frame t.  A read-only,
+    C-contiguous float32 or float64 array (a loaded split's float32 row) is
+    kept as given; anything else is copied to float64.  Code that computes on
+    frames widens them to float64 first.
     """
 
     video_id: str
@@ -187,7 +193,7 @@ class FeatureSequence:
         frames = self.frames
         if not (
             isinstance(frames, np.ndarray)
-            and frames.dtype == np.float64
+            and frames.dtype in (np.float32, np.float64)
             and frames.flags.c_contiguous
             and not frames.flags.writeable
         ):
@@ -253,14 +259,15 @@ def read_feature_file(
     class_id: int = 0,
     out: np.ndarray | None = None,
 ) -> FeatureSequence:
-    """Read an FSVF file back into a float64 sequence.
+    """Read an FSVF file back into a sequence of its float32 frames.
 
     Identity fields are not part of the on-disk layout; callers loading
-    through a manifest supply them, otherwise the file stem is used.  With
-    ``out``, a writable C-contiguous float64 array, the file's (T, C_in) must
+    through a manifest supply them, otherwise the file stem is used.  Without
+    ``out`` the sequence holds a read-only view of the bytes read.  With
+    ``out``, a writable C-contiguous float32 array, the file's (T, C_in) must
     equal ``out.shape`` (``ValidationError`` naming the video, before
-    anything is written); the frames are widened into ``out``, which is then
-    made read-only and held by the sequence.
+    anything is written); the payload is copied into ``out`` unchanged, and
+    ``out`` is then made read-only and held by the sequence.
     """
     with open(path, "rb", buffering=0) as f:
         data = f.read()
@@ -284,7 +291,6 @@ def read_feature_file(
         )
     if video_id is None:
         video_id = os.path.splitext(os.path.basename(path))[0]
-    # the one float64 copy is made into ``out`` or by FeatureSequence
     frames = np.frombuffer(
         data, dtype="<f4", offset=4 + _FSVF_HEADER.size
     ).reshape(t, c_in)
@@ -418,7 +424,7 @@ def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: not valid manifest JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: manifest is not a JSON object")
@@ -476,11 +482,11 @@ def rebase_manifest(manifest: Manifest, new_root: str | Path) -> Manifest:
     )
 
 
-def empty_frames(what: str, **dims: int) -> np.ndarray:
-    """A new float64 array for ``what``, shaped by the values of ``dims``;
+def empty_frames(what: str, dtype: type, **dims: int) -> np.ndarray:
+    """A new ``dtype`` array for ``what``, shaped by the values of ``dims``;
     dims too large to allocate are a ``ValidationError`` naming each dim."""
     try:
-        return np.empty(tuple(dims.values()))
+        return np.empty(tuple(dims.values()), dtype)
     except (ValueError, MemoryError) as exc:
         named = " x ".join(f"{name} {size}" for name, size in dims.items())
         raise ValidationError(f"{what}: cannot allocate {named}: {exc}") from exc
@@ -491,12 +497,13 @@ def load_sequence(
 ) -> FeatureSequence:
     """Load one manifest entry, enforcing the manifest-wide T and C_in.
 
-    The frames are widened into ``out``, a (frame_count, feature_dim)
-    float64 row, or into a new array when it is None.
+    The float32 frames are copied into ``out``, a (frame_count, feature_dim)
+    float32 row, or into a new array when it is None.
     """
     if out is None:
         out = empty_frames(
             f"video {entry.video_id!r}",
+            np.float32,
             frame_count=manifest.frame_count,
             feature_dim=manifest.feature_dim,
         )
@@ -524,26 +531,35 @@ class Episode:
 class SplitData:
     """One manifest split, fully loaded and grouped by class.
 
-    ``frames`` is the split's read-only (N, T, C_in) block, its rows in
-    (class_id, video_id) order, the order of ``by_class``; each sequence's
+    ``frames`` is the split's read-only (N, T, C_in) float32 block, its rows
+    in (class_id, video_id) order, the order of ``by_class``; each sequence's
     frames are a view of its row, so the split's frames are held once.
     ``labels`` is read-only too: row i's class is ``class_ids[labels[i]]``.
+    ``smallest`` is the video count of the smallest class (0 with none), so
+    a capacity check costs the same for any number of classes.
     """
 
     class_ids: tuple[int, ...]
     by_class: dict[int, tuple[FeatureSequence, ...]]
     frames: np.ndarray
     labels: np.ndarray
+    smallest: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        sizes = map(len, self.by_class.values())
+        object.__setattr__(self, "smallest", min(sizes, default=0))
 
 
 def load_split(manifest: Manifest, split: str) -> SplitData:
     """Read the split's files, in manifest order, each into its row of one
-    float64 block, which is then made read-only."""
+    float32 block, which is then made read-only; the block holds exactly the
+    files' payloads."""
     entries = manifest.split_videos(split)
     ordered = sorted(entries, key=lambda e: (e.class_id, e.video_id))
     slot = {e.video_id: s for s, e in enumerate(ordered)}  # ids are unique
     frames = empty_frames(
         f"{split} split",
+        np.float32,
         videos=len(entries),
         frame_count=manifest.frame_count,
         feature_dim=manifest.feature_dim,
@@ -572,6 +588,8 @@ def _check_capacity(
         raise CapacityError(
             f"{split} has {len(data.class_ids)} classes, need {n_way}"
         )
+    if data.smallest > k_shot:
+        return
     for cid in data.class_ids:
         have = len(data.by_class[cid])
         if have < k_shot + 1:

@@ -102,8 +102,12 @@ def init_embedding(
 
 
 def embed_frames(emb: LinearHead, frames: np.ndarray) -> np.ndarray:
-    """Apply the affine map to every frame; works on (..., T, C_in) batches."""
-    return np.asarray(frames, dtype=np.float64) @ emb.weight.T + emb.bias
+    """Apply the affine map to every frame; works on (..., T, C_in) batches.
+
+    The product promotes float32 frames to float64, which is exact, so the
+    result has the bits of the float64 frames' product.
+    """
+    return frames @ emb.weight.T + emb.bias
 
 
 def pooled_embedding(emb: LinearHead, frames: np.ndarray) -> np.ndarray:
@@ -359,7 +363,7 @@ def metabaseline_loss_and_grads(
     dE = np.vstack(
         [np.add.reduce(g * dq, axis=0), np.repeat(g * dp / k[:, None], k, axis=0)]
     )
-    frames = np.concatenate([ep.query[None], *ep.support])  # (V, T, C_in)
+    frames = np.concatenate([ep.query[None], *ep.support], dtype=np.float64)
     inputs = np.add.reduce(frames, axis=1) / frames.shape[1]
     return loss, _embedding_grads(dE, inputs)
 
@@ -374,7 +378,7 @@ def cmn_loss_and_grads(
     per-class mean descriptors, the (n_way, S) head cosines and the backward
     pass through the saliency softmax then run on the whole stack.
     """
-    frames = np.concatenate([ep.query[None], *ep.support])  # (V, T, C_in)
+    frames = np.concatenate([ep.query[None], *ep.support], dtype=np.float64)
     embedded = np.stack([embed_frames(emb, f) for f in frames])  # (V, T, C)
     v, t, c = embedded.shape
     k = [len(f) for f in ep.support]
@@ -441,7 +445,7 @@ def otam_loss_and_grads(
     # and one input stack; a path step pairs query row a with support row b
     t = len(ep.query)
     embedded = np.concatenate([q_emb[None], *sup_emb]).reshape(-1, q_emb.shape[1])
-    frames = np.concatenate([ep.query[None], *ep.support])
+    frames = np.concatenate([ep.query[None], *ep.support], dtype=np.float64)
     frames = frames.reshape(-1, frames.shape[-1])
     flat = [path for paths_c in paths for path in paths_c]
     k = np.array([len(paths_c) for paths_c in paths])
@@ -860,7 +864,7 @@ def load_checkpoint(path) -> TrainedModel:
     config = text(config_len, "config")
     try:
         cfg = MethodConfig(**json.loads(config))
-    except (json.JSONDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, RecursionError, TypeError) as exc:
         raise FormatError(f"{path}: bad config block: {exc}") from exc
     (n_blocks,) = struct.unpack_from("<I", data, take(4, "block count"))
     blocks: dict[str, np.ndarray] = {}

@@ -128,7 +128,9 @@ def gen_class_prototype(
     if feature_dim < 1 or length < 1:
         raise ValidationError("feature_dim and length must be >= 1")
     gen = as_generator(rng)
-    steps = empty_frames("prototype", prototype_len=length, feature_dim=feature_dim)
+    steps = empty_frames(
+        "prototype", np.float64, prototype_len=length, feature_dim=feature_dim
+    )
     gen.standard_normal(out=steps)
     if corr_width > 0.0:
         steps = steps @ _correlation_kernel(feature_dim, corr_width)
@@ -179,9 +181,13 @@ def _video_block(
             f"prototype has {proto.shape[0]} rows, spec says {spec.prototype_len}"
         )
     t = spec.frame_count
-    u = empty_frames("video block", videos=count, frame_count=t)
+    u = empty_frames("video block", np.float64, videos=count, frame_count=t)
     noise = empty_frames(
-        "video block", videos=count, frame_count=t, feature_dim=proto.shape[1]
+        "video block",
+        np.float64,
+        videos=count,
+        frame_count=t,
+        feature_dim=proto.shape[1],
     )
     for u_row, noise_rows, gen in zip(u, noise, gens):
         gen.random(out=u_row)

@@ -400,6 +400,38 @@ def test_manifest_that_is_not_utf8_is_clean_error(untrained_ckpt, tmp_path, comm
     assert not out.exists()
 
 
+# json.loads raises RecursionError on arrays nested this deep
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("command", ["splits", "gen", "eval"])
+def test_json_nested_too_deeply_is_clean_error(bench_dir, untrained_ckpt, tmp_path, command):
+    import struct
+
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    out = tmp_path / "out"
+    manifest = str(bench_dir / "bench" / "manifest.json")
+    if command == "eval":
+        # a checkpoint whose config block is the deep text
+        data = untrained_ckpt.read_bytes()
+        (n,) = struct.unpack_from("<I", data, 8)
+        text = DEEP_JSON.encode()
+        path = tmp_path / "deep.fsvm"
+        path.write_bytes(data[:8] + struct.pack("<I", len(text)) + text + data[12 + n :])
+    argv = {
+        "splits": ["--manifest", str(path), "--classes", "1,1,1", "--out", str(out)],
+        "gen": ["--spec", str(path), "--out", str(out)],
+        "eval": ["--ckpt", str(path), "--manifest", manifest, "--report", str(out)],
+    }[command]
+    proc = _run_cli(command, *argv)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: ")
+    assert "recursion" in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "method, flag, value, field",
     [

@@ -103,10 +103,13 @@ def test_read_frames_are_bitwise_float32_widened(tmp_path):
     write_feature_file(FeatureSequence("w", 0, frames), path)
     payload = path.read_bytes()[16:]
     back = read_feature_file(path).frames
-    expected = np.frombuffer(payload, dtype="<f4").astype(np.float64).reshape(2, 3)
-    assert back.dtype == np.float64 and back.shape == (2, 3)
-    assert back.tobytes() == expected.tobytes()
-    assert back.flags.owndata and not back.flags.writeable
+    stored = np.frombuffer(payload, dtype="<f4").reshape(2, 3)
+    assert back.dtype == np.float32 and back.shape == (2, 3)
+    assert back.tobytes() == stored.tobytes()
+    assert not back.flags.writeable
+    # what computation sees: the float64 frames the reader used to return
+    widened = np.asarray(back, dtype=np.float64)
+    assert widened.tobytes() == stored.astype(np.float64).tobytes()
 
 
 def test_nan_sequence_rejected_before_writing(tmp_path):

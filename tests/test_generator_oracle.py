@@ -96,7 +96,10 @@ def test_load_sequence_matches_oracle_reader(tmp_path):
         for entry in manifest.videos:
             path = os.path.join(tmp_path / "b", entry.file_path)
             seq = load_sequence(manifest, entry)
-            assert same_bits(seq.frames, oracle.read_feature_frames(path))
+            # held at the file's precision, widened exactly for computation
+            assert seq.frames.dtype == np.float32
+            widened = np.asarray(seq.frames, dtype=np.float64)
+            assert same_bits(widened, oracle.read_feature_frames(path))
             assert not seq.frames.flags.writeable
             assert (seq.video_id, seq.class_id) == (entry.video_id, entry.class_id)
             assert read_feature_file(path).video_id == entry.video_id  # file stem

@@ -1,10 +1,12 @@
 """Episode sampling, evaluation statistics, split construction, reports."""
 
 import os
+import re
 import statistics
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -109,6 +111,19 @@ def test_capacity_errors(bench):
     # a class with exactly k videos leaves no query candidate
     with pytest.raises(CapacityError, match="query candidate"):
         sample_episode(data, 5, 6, RngStream(0, 0))
+    # thin the third class to 2 videos and the fifth to 1: the first class
+    # short of k + 1 videos is named, not the smallest
+    third, fifth = data.class_ids[2], data.class_ids[4]
+    drop = {s.video_id for s in data.by_class[third][2:] + data.by_class[fifth][1:]}
+    videos = tuple(v for v in bench.videos if v.video_id not in drop)
+    thin = load_split(replace(bench, videos=videos), "test")
+    assert thin.smallest == 1 and data.smallest == 6
+    message = (
+        f"class {third} of the split has 2 videos, need 3 "
+        "(2 supports plus a query candidate)"
+    )
+    with pytest.raises(CapacityError, match=re.escape(message) + "$"):
+        sample_episode(thin, 5, 2, RngStream(0, 0))
 
 
 def test_ci_formula_against_statistics_module():
@@ -356,7 +371,7 @@ def test_split_manifest_loads_and_evaluates(big_manifest, tmp_path):
 def test_split_frames_are_one_read_only_block(bench):
     split = load_split(bench, "train")
     assert split.frames.shape == (36, bench.frame_count, bench.feature_dim)
-    assert split.frames.dtype == np.float64 and not split.frames.flags.writeable
+    assert split.frames.dtype == np.float32 and not split.frames.flags.writeable
     labels = split.labels
     assert labels.shape == (36,) and not labels.flags.writeable
     paths = {v.video_id: bench.resolve(v) for v in bench.split_videos("train")}
@@ -368,6 +383,12 @@ def test_split_frames_are_one_read_only_block(bench):
             assert seq.frames.tobytes() == split.frames[row].tobytes()
             on_disk = read_feature_file(paths[seq.video_id]).frames
             assert split.frames[row].tobytes() == on_disk.tobytes()
+            # the file's payload, and the float64 frames computation sees
+            data = Path(paths[seq.video_id]).read_bytes()
+            payload = np.frombuffer(data, "<f4", offset=16)
+            assert split.frames[row].tobytes() == payload.tobytes()
+            widened = np.asarray(split.frames[row], dtype=np.float64)
+            assert widened.tobytes() == payload.astype(np.float64).tobytes()
             assert labels[row] == label
             row += 1
     assert row == split.frames.shape[0]
@@ -402,20 +423,64 @@ print(peak() - before)
 """
 
 
-def test_training_holds_the_train_split_once(tmp_path):
-    # the standard benchmark's train split: 64 classes of 40 videos, 8 x 64
-    spec = GeneratorSpec(64, 5, 5, 40, 64, 8, 32, 0.5, 0.1, seed=2002)
-    big = gen_benchmark(spec, tmp_path / "big")
-    small = gen_benchmark(replace(spec, n_train_classes=6, videos_per_class=6), tmp_path / "small")
+def _rss_rise(probe: str, small, big) -> int:
+    """The peak-RSS rise that ``probe`` prints, run on the manifests of the
+    ``small`` (warm-up) and ``big`` benchmarks."""
     # a process starts with the ru_maxrss of the one that forked it, so the
     # probe is forked by a small interpreter, not by this one
     launch = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
     manifests = [str(m.root / "manifest.json") for m in (small, big)]
     proc = subprocess.run(
-        [sys.executable, "-c", launch, "-c", _RSS_PROBE, *manifests],
+        [sys.executable, "-c", launch, "-c", probe, *manifests],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
     )
-    block = 64 * 40 * 8 * 64 * 8
-    rise = int(proc.stdout.split()[-1])
+    return int(proc.stdout.split()[-1])
+
+
+def test_training_holds_the_train_split_once(tmp_path):
+    # the standard benchmark's train split: 64 classes of 40 videos, 8 x 64
+    spec = GeneratorSpec(64, 5, 5, 40, 64, 8, 32, 0.5, 0.1, seed=2002)
+    big = gen_benchmark(spec, tmp_path / "big")
+    small = gen_benchmark(replace(spec, n_train_classes=6, videos_per_class=6), tmp_path / "small")
+    block = 64 * 40 * 8 * 64 * 4  # float32, as the files hold it
+    rise = _rss_rise(_RSS_PROBE, small, big)
+    assert rise < 1.5 * block, f"peak RSS rose {rise / block:.2f}x the block's bytes"
+
+
+_EVAL_RSS_PROBE = """
+import resource, sys
+from fsvc.core import RngStream, load_manifest, load_split
+from fsvc.harness import accuracy_vector
+from fsvc.heads import init_head
+from fsvc.protocols import MethodConfig, TrainedModel, init_embedding
+
+def peak():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024  # KiB on Linux
+
+cfg = MethodConfig("baseline-plus", embed_dim=64)
+
+def evaluate(manifest, seeds):
+    data = load_split(manifest, "test")
+    for seed in seeds:
+        emb = init_embedding(RngStream(seed), cfg.embed_dim, manifest.feature_dim)
+        head = init_head(RngStream(seed, 1), 64, cfg.embed_dim)
+        accuracy_vector(TrainedModel(emb, head, None, cfg), cfg, data, 20)
+
+evaluate(load_manifest(sys.argv[1]), [0])  # warm-up
+manifest = load_manifest(sys.argv[2])
+before = peak()
+evaluate(manifest, [1, 2])
+print(peak() - before)
+"""
+
+
+def test_evaluation_holds_the_test_split_once(tmp_path):
+    # the standard benchmark's test split: 24 classes of 40 videos, 8 x 64;
+    # two models evaluated on it must not each hold state the split's size
+    spec = GeneratorSpec(0, 0, 24, 40, 64, 8, 32, 0.5, 0.1, seed=2002)
+    big = gen_benchmark(spec, tmp_path / "big")
+    small = gen_benchmark(replace(spec, n_test_classes=6, videos_per_class=6), tmp_path / "small")
+    block = 24 * 40 * 8 * 64 * 4  # float32, as the files hold it
+    rise = _rss_rise(_EVAL_RSS_PROBE, small, big)
     assert rise < 1.5 * block, f"peak RSS rose {rise / block:.2f}x the block's bytes"

@@ -14,6 +14,7 @@ from fsvc.core import (
     LeakageError,
     LengthError,
     RngStream,
+    SplitData,
     ValidationError,
     load_manifest,
     load_split,
@@ -41,7 +42,8 @@ from fsvc.protocols import (
     train_classification,
     train_model,
 )
-from fsvc.heads import LinearHead, init_head
+from fsvc.harness import accuracy_vector
+from fsvc.heads import LinearHead, dropout_mask, init_head
 from fsvc.selftest import _random_episode_arrays, max_fd_error
 from fsvc.synthdata import GeneratorSpec, gen_benchmark
 
@@ -836,3 +838,112 @@ def test_train_model_dispatch(bench):
     cfg = _fast_cfg("baseline", init="pretrained")
     model = train_model(manifest, cfg, pretrain_manifest=pretrain)
     assert model.config.init == "pretrained"
+
+
+# ---------------------------------------------------------------------------
+# a split held at the files' float32 precision computes as float64 frames do
+
+
+def _float64_twin(split: SplitData) -> SplitData:
+    """The same split, its values held as a read-only float64 block."""
+    block = split.frames.astype(np.float64)
+    block.flags.writeable = False
+    rows = iter(block)
+    by_class = {
+        cid: tuple(FeatureSequence(s.video_id, cid, next(rows)) for s in seqs)
+        for cid, seqs in split.by_class.items()
+    }
+    return SplitData(split.class_ids, by_class, block, split.labels)
+
+
+def _same(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _same_grads(a: dict, b: dict) -> bool:
+    return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+
+
+@pytest.fixture(scope="module")
+def split_twins(bench):
+    manifest, _ = bench
+    twins = {}
+    for name in ("train", "test"):
+        held = load_split(manifest, name)
+        twin = _float64_twin(held)
+        assert held.frames.dtype == np.float32 and twin.frames.dtype == np.float64
+        seq = twin.by_class[twin.class_ids[0]][0]
+        assert seq.frames.dtype == np.float64 and np.shares_memory(seq.frames, twin.frames)
+        twins[name] = held, twin
+    return twins
+
+
+def _random_models(in_dim: int, n_base: int, dim: int = 8) -> dict[str, TrainedModel]:
+    gen = np.random.default_rng(11)
+    emb = LinearHead(gen.standard_normal((dim, in_dim)), gen.standard_normal(dim))
+    head = LinearHead(gen.standard_normal((n_base, dim)), gen.standard_normal(n_base))
+    models = {}
+    for method in (*METRIC_METHODS, *CLASSIFIER_METHODS):
+        cfg = MethodConfig(method, embed_dim=dim, iters_adapt=20)
+        sal = SaliencyParams(gen.standard_normal((cfg.saliency_heads, dim)))
+        models[method] = TrainedModel(
+            emb,
+            head if method in CLASSIFIER_METHODS else None,
+            sal if method == "cmn-lite" else None,
+            cfg,
+        )
+    return models
+
+
+@pytest.mark.parametrize("k_shot", [1, 5])
+def test_float32_split_adapts_and_scores_as_float64(bench, split_twins, k_shot):
+    held, twin = split_twins["test"]
+    models = _random_models(bench[0].feature_dim, n_base=6)
+    for method, model in models.items():
+        cfg = replace(model.config, k_shot=k_shot)
+        for e in range(8):
+            eps = [sample_episode(s, 5, k_shot, RngStream(3, e)) for s in (held, twin)]
+            assert eps[0].query[0].frames.dtype == np.float32
+            assert eps[1].query[0].frames.dtype == np.float64
+            preds = [adapt_and_predict(model, ep, cfg, RngStream(4, e)) for ep in eps]
+            assert preds[0] == preds[1], (method, e)
+            if method in METRIC_METHODS:
+                a, b = (method_scores(model, episode_arrays(ep, 5), cfg) for ep in eps)
+                assert _same(a, b), (method, e)
+
+
+def test_float32_split_accuracy_vector_is_float64s(bench, split_twins):
+    held, twin = split_twins["test"]
+    for method, model in _random_models(bench[0].feature_dim, n_base=6).items():
+        a, b = (accuracy_vector(model, model.config, s, 200) for s in (held, twin))
+        assert _same(a, b), method
+
+
+def test_float32_split_losses_and_grads_are_float64s(bench, split_twins):
+    held, twin = split_twins["train"]
+    models = _random_models(bench[0].feature_dim, n_base=len(held.class_ids))
+    emb, sal = models["cmn-lite"].embedding, models["cmn-lite"].saliency
+    for k_shot in (1, 3):
+        for e in range(4):
+            a, b = (
+                episode_arrays(sample_episode(s, 5, k_shot, RngStream(5, e)), 5)
+                for s in (held, twin)
+            )
+            assert a.query.dtype == np.float32 and b.query.dtype == np.float64
+            for loss in (metabaseline_loss_and_grads, cmn_loss_and_grads):
+                args = (emb, sal) if loss is cmn_loss_and_grads else (emb,)
+                la, ga = loss(*args, a, 10.0)
+                lb, gb = loss(*args, b, 10.0)
+                assert _same(la, lb) and _same_grads(ga, gb), (loss, k_shot, e)
+            for normalize in (False, True):
+                la, ga, pa = otam_loss_and_grads(emb, a, 10.0, normalize)
+                lb, gb, pb = otam_loss_and_grads(emb, b, 10.0, normalize)
+                assert _same(la, lb) and _same_grads(ga, gb) and pa == pb
+    head = models["baseline"].base_head
+    gen = np.random.default_rng(6)
+    idx = gen.choice(len(held.labels), size=16, replace=False)
+    for mask in (None, dropout_mask(gen, 0.3, (16, emb.n_out))):
+        la, ga = classification_loss_and_grads(emb, head, held.frames[idx], held.labels[idx], mask)
+        lb, gb = classification_loss_and_grads(emb, head, twin.frames[idx], twin.labels[idx], mask)
+        assert _same(la, lb) and _same_grads(ga, gb)
