@@ -47,28 +47,32 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(a.dot(b) / (na * nb))
 
 
-def _normalized_rows(seq: np.ndarray, name: str) -> np.ndarray:
-    # np.linalg.norm(seq, axis=1), without its Python-level dispatch
-    norms = np.sqrt(np.add.reduce(seq * seq, axis=1))
-    bad = norms <= _NORM_TOL
-    if bad.any():
-        raise DegenerateInputError(
-            f"{name} frame {int(bad.argmax())} has zero norm"
-        )
-    return seq / norms[:, None]
-
-
 def frame_distance_matrix(q: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Pairwise frame distances d(i, j) = 1 - cosine(q_i, s_j), in [0, 2]."""
+    """Pairwise frame distances d(i, j) = 1 - cosine(q_i, s_j), in [0, 2].
+
+    Bitwise equal to normalizing each side on its own for C-contiguous
+    inputs, which every caller passes; numpy's row sums, and so the last bit
+    of a distance, can depend on the layout of a transposed view.
+    """
     q = np.asarray(q, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
     if q.ndim != 2 or s.ndim != 2 or q.shape[1] != s.shape[1]:
         raise ValidationError(
             f"incompatible sequences: {q.shape} vs {s.shape}"
         )
-    qn = _normalized_rows(q, "query")
-    sn = _normalized_rows(s, "support")
-    return 1.0 - qn @ sn.T
+    # both sides' rows normalized in one pass; the norms are
+    # np.linalg.norm(axis=1)'s, without its Python-level dispatch
+    tq = q.shape[0]
+    frames = np.concatenate((q, s))
+    norms = np.sqrt(np.add.reduce(frames * frames, 1, None, None, True))
+    # fmin passes over NaN norms as ``<=`` does, and its inf identity lets
+    # sides with no rows through (np.minimum.reduce has no identity)
+    if np.fmin.reduce(norms, None, None, None, False, np.inf) <= _NORM_TOL:
+        i = int((norms <= _NORM_TOL).argmax())
+        side, i = ("query", i) if i < tq else ("support", i - tq)
+        raise DegenerateInputError(f"{side} frame {i} has zero norm")
+    np.divide(frames, norms, frames)
+    return 1.0 - np.dot(frames[:tq], frames[tq:].T)
 
 
 def dtw(dist: np.ndarray) -> tuple[float, list[tuple[int, int]]]:

@@ -106,10 +106,17 @@ def check_field_types(record, label: str) -> None:
 # deterministic randomness
 
 
+KEY_LIMIT = 1 << 64  # a Philox key word holds seeds and stream ids below this
+
+
 def _check_stream_key(seed: int, stream_id: int) -> None:
     if seed < 0 or stream_id < 0:
         raise ValidationError(
             f"seed and stream_id must be non-negative, got ({seed}, {stream_id})"
+        )
+    if seed >= KEY_LIMIT or stream_id >= KEY_LIMIT:
+        raise ValidationError(
+            f"seed and stream_id must be below 2**64, got ({seed}, {stream_id})"
         )
 
 
@@ -130,9 +137,7 @@ class RngStream:
         _check_stream_key(self.seed, self.stream_id)
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.seed % (1 << 64), self.stream_id % (1 << 64)], dtype=np.uint64
-        )
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -159,7 +164,7 @@ def _stream_generators(
     }
     for stream_id in stream_ids:
         _check_stream_key(seed, stream_id)
-        state["state"]["key"] = (seed % (1 << 64), stream_id % (1 << 64))
+        state["state"]["key"] = (seed, stream_id)
         bitgen.state = state
         yield gen
 

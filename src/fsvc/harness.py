@@ -23,6 +23,7 @@ from .core import (
     SplitData,
     ValidationError,
     VideoEntry,
+    empty_frames,
     load_split,
     sample_episode,  # unused here; see the module docstring
 )
@@ -72,8 +73,11 @@ def accuracy_vector(
     """Per-episode 0/1 accuracies; episode e draws from stream (seed, e)."""
     if n_episodes < 1:
         raise ValidationError(f"need at least 1 episode, got {n_episodes}")
+    correct = empty_frames("accuracy vector", np.float64, episodes=n_episodes)
     hits = _episode_hits(model, cfg, data, range(n_episodes))
-    return np.fromiter(hits, np.float64, n_episodes)
+    for e, hit in enumerate(hits):
+        correct[e] = hit
+    return correct
 
 
 def evaluate(

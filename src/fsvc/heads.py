@@ -26,8 +26,11 @@ from .core import (
 
 # ufuncs bound once and called with a positional ``out``: the support-head
 # loop makes 19 calls a step on arrays of a few hundred elements, where the
-# lookups and keyword parsing are a visible share of each call
-_matmul, _exp, _sqrt, _square = np.matmul, np.exp, np.sqrt, np.square
+# lookups and keyword parsing are a visible share of each call.  Its 2-D
+# products go through np.dot, which reaches the same BLAS gemm as np.matmul
+# without matmul's gufunc dispatch; test_dot_equals_matmul_on_2d_products in
+# tests/test_kernel_oracle.py pins that the two round alike.
+_dot, _exp, _sqrt, _square = np.dot, np.exp, np.sqrt, np.square
 _add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
 _max_reduce, _min_reduce = np.maximum.reduce, np.minimum.reduce
 _sum_reduce = np.add.reduce
@@ -49,7 +52,7 @@ class LinearHead:
                 f"weight {w.shape} and bias {b.shape} are not a (C_out, D) / "
                 f"(C_out,) pair"
             )
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise ValidationError("weight and bias must be finite")
         w.setflags(write=False)
         b.setflags(write=False)
@@ -184,11 +187,17 @@ class _AdamBuffers(NamedTuple):
         if scratch is None:
             scratch = np.empty(mv.size)
         gg = scratch[: mv.size].reshape(mv.shape)
-        betas = []
-        for pair in ((_BETA1, _BETA2), (1.0 - _BETA1, 1.0 - _BETA2)):
-            c = np.broadcast_to(np.reshape(pair, (2,) + (1,) * len(shape)), mv.shape)
-            betas.append(c.copy() if mv.size <= _DENSE_BETAS else c)
-        return cls(mv, gg, *mv, *gg, *betas)
+        if mv.size <= _DENSE_BETAS:
+            decay, gain = np.empty(mv.shape), np.empty(mv.shape)
+            decay[0], decay[1] = _BETA1, _BETA2
+            gain[0], gain[1] = 1.0 - _BETA1, 1.0 - _BETA2
+        else:
+            lead = (2,) + (1,) * len(shape)
+            decay, gain = (
+                np.broadcast_to(np.reshape(pair, lead), mv.shape)
+                for pair in ((_BETA1, _BETA2), (1.0 - _BETA1, 1.0 - _BETA2))
+            )
+        return cls(mv, gg, mv[0], mv[1], gg[0], gg[1], decay, gain)
 
 
 def _step_constants(lr: float, t: int) -> tuple[float, float]:
@@ -279,9 +288,9 @@ def adam_step(
 
 def _support_arrays(
     features: np.ndarray, labels: np.ndarray, n_way: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """A support set as an (N, D) float matrix and (N,) class indices that
-    cover classes 0..n_way-1 and no others."""
+    cover classes 0..n_way-1 and no others, with each class's row count."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.intp)
     if x.ndim != 2 or y.shape != x.shape[:1]:
@@ -294,10 +303,11 @@ def _support_arrays(
     bad = y[(y < 0) | (y >= n_way)]
     if bad.size:
         raise ValidationError(f"class index {bad[0]} out of range for {n_way}-way")
-    missing = np.flatnonzero(np.bincount(y, minlength=n_way) == 0).tolist()
+    counts = np.bincount(y, minlength=n_way).tolist()
+    missing = [k for k, count in enumerate(counts) if not count]
     if missing:
         raise CoverageError(f"no support rows for class(es) {missing}")
-    return x, y
+    return x, y, counts
 
 
 def imprint(logits: np.ndarray, labels: np.ndarray, n_way: int) -> LinearHead:
@@ -307,19 +317,22 @@ def imprint(logits: np.ndarray, labels: np.ndarray, n_way: int) -> LinearHead:
     just the normalized logits); the bias starts at zero.  Rows act as class
     templates: a query scores highest on the template it is most similar to.
     """
-    z, y = _support_arrays(logits, labels, n_way)
-    rows = []
-    for k in range(n_way):
-        zs = z[y == k]
+    z, y, counts = _support_arrays(logits, labels, n_way)
+    # a stable sort keeps each class's rows in support order, one slice each
+    z = z[y.argsort(kind="stable")]
+    w = np.empty((n_way, z.shape[1]))
+    end = 0
+    for k, count in enumerate(counts):
+        start, end = end, end + count
         # np.mean's and np.linalg.norm's arithmetic, without their wrappers
-        mean = _sum_reduce(zs, 0) / len(zs)
+        mean = _sum_reduce(z[start:end], 0) / count
         norm = math.sqrt(mean.dot(mean))
         if norm <= 1e-300:
             raise DegenerateInputError(
                 f"class {k}: mean support logits have zero norm"
             )
-        rows.append(mean / norm)
-    return LinearHead(np.stack(rows), np.zeros(n_way))
+        _div(mean, norm, w[k])
+    return LinearHead(w, np.zeros(n_way))
 
 
 def train_head(
@@ -340,7 +353,7 @@ def train_head(
     if iters < 0:
         raise ValidationError("iters must be >= 0")
     k = init.n_out
-    x, y = _support_arrays(features, labels, k)
+    x, y, _ = _support_arrays(features, labels, k)
     n, d = x.shape
     if d != init.in_dim:
         raise ShapeError(
@@ -363,14 +376,14 @@ def train_head(
     p_t, z_t, n0 = p.T, z.T, np.array(n, dtype=np.float64)
     for lr_t, bc2_t in _step_arrays(lr, iters):
         # softmax of the logits minus the one-hot labels, then its gradient
-        _matmul(x1, p_t, z)
+        _dot(x1, p_t, z)
         _max_reduce(z, 1, None, zred, True)
         _sub(z, zred, z)
         _exp(z, z)
         _sum_reduce(z, 1, None, zred, True)
         _div(z, zred, z)
         _sub(z, onehot, z)
-        _matmul(z_t, x1, g)
+        _dot(z_t, x1, g)
         _div(g, n0, g)
         _adam_update(p, b, lr_t, bc2_t)
     return LinearHead(p[:, :-1], p[:, -1])

@@ -44,6 +44,7 @@ from .align import (
 from .core import (
     Episode,
     FormatError,
+    KEY_LIMIT,
     LeakageError,
     LengthError,
     Manifest,
@@ -193,6 +194,8 @@ class MethodConfig:
             raise ValidationError("embed_dim and saliency_heads must be >= 1")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
+        if self.seed >= KEY_LIMIT:
+            raise ValidationError(f"seed must be below 2**64, got {self.seed}")
 
     def resolved_lr_base(self) -> float:
         if self.lr_base is not None:

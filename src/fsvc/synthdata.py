@@ -17,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
+    KEY_LIMIT,
     Manifest,
     RngStream,
     ValidationError,
@@ -80,6 +81,8 @@ class GeneratorSpec:
             raise ValidationError("pretrain_classes must be >= 0")
         if self.feature_corr < 0.0:
             raise ValidationError("feature_corr must be >= 0")
+        if self.seed >= KEY_LIMIT:
+            raise ValidationError(f"seed must be below 2**64, got {self.seed}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GeneratorSpec":

@@ -8,15 +8,19 @@ results to these copies.  The episode losses at the end are the loop forms
 that the package now computes with stacked arrays; ``test_loss_oracle.py``
 compares those to within rounding.  The one-video generator and the feature
 file reader are the per-video forms that the package now runs on whole class
-blocks; ``test_synthdata.py`` requires bitwise-equal results.  The episode
-sampler and the metric-method scores at the end are the ``Generator.choice``
-and ``np.mean`` forms; ``test_episode_oracle.py`` requires the same picks,
-generator states and score bytes.
+blocks; ``test_synthdata.py`` requires bitwise-equal results.  ``imprint``
+is the per-class boolean-mask form that the package now runs on one stable
+sort of the labels.  The episode sampler and the metric-method scores at
+the end are the ``Generator.choice`` and ``np.mean`` forms;
+``test_episode_oracle.py`` requires the same picks, generator states and
+score bytes.
 Only data types, error classes and ``as_generator`` are imported from
 ``fsvc``, so later edits to the package cannot move the oracle.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -186,6 +190,35 @@ def train_head(
         denom += eps
         p -= (lr / (1.0 - beta1**t)) * m / denom
     return LinearHead(p[:, :-1], p[:, -1])
+
+
+def imprint(logits: np.ndarray, labels: np.ndarray, n_way: int) -> LinearHead:
+    z = np.asarray(logits, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.intp)
+    if z.ndim != 2 or y.shape != z.shape[:1]:
+        raise ShapeError(
+            f"support features {z.shape} and labels {y.shape} are not an "
+            f"(N, D) / (N,) pair"
+        )
+    if not len(y):
+        raise CoverageError("empty support set")
+    bad = y[(y < 0) | (y >= n_way)]
+    if bad.size:
+        raise ValidationError(f"class index {bad[0]} out of range for {n_way}-way")
+    missing = np.flatnonzero(np.bincount(y, minlength=n_way) == 0).tolist()
+    if missing:
+        raise CoverageError(f"no support rows for class(es) {missing}")
+    rows = []
+    for k in range(n_way):
+        zs = z[y == k]
+        mean = np.add.reduce(zs, 0) / len(zs)
+        norm = math.sqrt(mean.dot(mean))
+        if norm <= 1e-300:
+            raise DegenerateInputError(
+                f"class {k}: mean support logits have zero norm"
+            )
+        rows.append(mean / norm)
+    return LinearHead(np.stack(rows), np.zeros(n_way))
 
 
 def adam_step(

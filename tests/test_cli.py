@@ -234,6 +234,62 @@ def test_eval_rejects_fewer_than_one_episode(bench_dir, untrained_ckpt, episodes
     assert not (bench_dir / "never.json").exists()
 
 
+# counts that overflow intp, so no vector is ever allocated
+@pytest.mark.parametrize("episodes", [str(2**62), str(2**63)])
+def test_eval_unallocatable_episode_count_is_clean_error(
+    bench_dir, untrained_ckpt, episodes
+):
+    proc = _run_cli(
+        "eval", "--ckpt", str(untrained_ckpt),
+        "--manifest", str(bench_dir / "bench" / "manifest.json"),
+        "--episodes", episodes,
+        "--report", str(bench_dir / "never.json"),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        f"error: accuracy vector: cannot allocate episodes {episodes}: "
+    )
+    assert not (bench_dir / "never.json").exists()
+
+
+# a seed of 2**64 + s would alias seed s in the 64-bit Philox key
+def test_gen_seed_of_2_to_the_64_is_clean_error(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**SPEC, "seed": 2**64 + 3}))
+    proc = _run_cli("gen", "--spec", str(spec), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: seed must be below 2**64, got {2**64 + 3}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_train_seed_of_2_to_the_64_is_clean_error(bench_dir, tmp_path):
+    out = tmp_path / "model.fsvm"
+    proc = _run_cli(
+        "train", "--method", "baseline",
+        "--manifest", str(bench_dir / "bench" / "manifest.json"),
+        "--seed", str(2**64 + 5), "--out", str(out),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: seed must be below 2**64, got {2**64 + 5}")
+    assert not out.exists()
+
+
+def test_eval_seed_of_2_to_the_64_is_clean_error(bench_dir, untrained_ckpt):
+    proc = _run_cli(
+        "eval", "--ckpt", str(untrained_ckpt),
+        "--manifest", str(bench_dir / "bench" / "manifest.json"),
+        "--seed", str(2**64 + 5),
+        "--report", str(bench_dir / "never.json"),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"error: seed must be below 2**64, got {2**64 + 5}")
+    assert not (bench_dir / "never.json").exists()
+
+
 def _run_cli(*argv):
     return subprocess.run(
         [sys.executable, "-m", "fsvc.cli", *argv], capture_output=True, text=True

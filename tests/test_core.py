@@ -482,3 +482,21 @@ def test_rekeyed_streams_check_arguments():
 def test_negative_seed_rejected():
     with pytest.raises(ValidationError):
         RngStream(-1, 0)
+
+
+@pytest.mark.parametrize("seed, stream_id", [(2**64 - 1, 0), (0, 2**64 - 1)])
+def test_largest_stream_key_accepted(seed, stream_id):
+    fresh = RngStream(seed, stream_id).generator().random(3)
+    (rekeyed,) = _stream_generators(seed, [stream_id])
+    assert np.array_equal(rekeyed.random(3), fresh)
+
+
+# a Philox key word holds 64 bits, so a larger value would alias the one
+# 2**64 below it
+@pytest.mark.parametrize("seed, stream_id", [(2**64, 0), (0, 2**64), (2**64 + 3, 5)])
+def test_stream_key_of_2_to_the_64_rejected(seed, stream_id):
+    message = rf"must be below 2\*\*64, got \({seed}, {stream_id}\)"
+    with pytest.raises(ValidationError, match=message):
+        RngStream(seed, stream_id)
+    with pytest.raises(ValidationError, match=message):
+        list(_stream_generators(seed, [stream_id]))

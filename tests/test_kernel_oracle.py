@@ -106,6 +106,11 @@ def test_cosine_matches_oracle_bitwise(pair):
 @given(same_width((10, 10)))
 @example((np.zeros((8, 16)), np.ones((8, 16))))
 @example((np.ones((1, 5)), np.ones((10, 5))))
+@example((np.ones((3, 4)), np.eye(4)[[0, 1]] * [[1.0], [0.0]]))  # support only
+@example((np.eye(3)[[2, 0, 1]] * [[1.0], [0.0], [1.0]], np.zeros((2, 3))))  # both
+@example((np.zeros((0, 6)), np.ones((4, 6))))
+@example((np.ones((4, 6)), np.zeros((0, 6))))
+@example((np.zeros((0, 6)), np.zeros((0, 6))))
 def test_frame_distance_matrix_matches_oracle_bitwise(pair):
     q, s = pair
     got = outcome(align.frame_distance_matrix, q, s)
@@ -236,6 +241,74 @@ def test_stacked_row_products_equal_per_row_products(threads):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# the numpy behaviour train_head and frame_distance_matrix rest on: np.dot
+# of two 2-D float64 operands, into a given ``out`` as train_head writes,
+# rounds as np.matmul does, for plain and transposed-view layouts and 1-sized
+# dims, at every OpenBLAS thread count
+_DOT_PRODUCT_CHECK = """
+import numpy as np
+gen = np.random.default_rng(24)
+for case in range(4000):
+    m, k, n = gen.integers(1, 90, 3).tolist()
+    if case % 3 == 0:
+        dims = [m, k, n]
+        dims[case % 9 // 3] = 1
+        m, k, n = dims
+    scale = 10.0 ** gen.uniform(-3, 3)
+    a, b = scale * gen.standard_normal((m, k)), gen.standard_normal((k, n))
+    for x, y in ((a, b), (a.T.copy().T, b), (a, b.T.copy().T), (a.T.copy().T, b.T.copy().T)):
+        ref = np.matmul(x, y)
+        out = np.empty((m, n))
+        got = np.dot(x, y, out)
+        assert got is out and out.tobytes() == ref.tobytes(), (case, m, k, n)
+        assert np.dot(x, y).tobytes() == ref.tobytes(), (case, m, k, n)
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_dot_equals_matmul_on_2d_products(threads):
+    proc = subprocess.run(
+        [sys.executable, "-c", _DOT_PRODUCT_CHECK],
+        env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@SETTINGS
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shots=st.lists(st.integers(1, 6), min_size=2, max_size=12),
+    d=st.integers(1, 80),
+    log_scale=st.floats(-3.0, 3.0),
+    fault=st.sampled_from([None, "zero-norm", "missing"]),
+    fault_class=st.integers(0, 11),
+)
+@example(seed=0, shots=[1] * 5, d=64, log_scale=0.0, fault=None, fault_class=0)
+@example(seed=1, shots=[5] * 5, d=64, log_scale=3.0, fault=None, fault_class=0)
+@example(seed=2, shots=[3, 1, 4], d=8, log_scale=0.0, fault="zero-norm", fault_class=1)
+@example(seed=3, shots=[2, 2, 2, 2], d=5, log_scale=0.0, fault="missing", fault_class=2)
+def test_imprint_matches_oracle_bitwise(seed, shots, d, log_scale, fault, fault_class):
+    # unequal shots in shuffled label order, so each class's rows are
+    # scattered through the support set
+    gen = np.random.default_rng(seed)
+    k = fault_class % len(shots)
+    if fault == "missing":
+        shots = shots[:k] + [0] + shots[k + 1 :]
+    labels = gen.permutation(np.repeat(np.arange(len(shots)), shots))
+    z = 10.0**log_scale * gen.standard_normal((len(labels), d))
+    if fault == "zero-norm":
+        z[labels == k] = 0.0
+    got = outcome(heads.imprint, z, labels, len(shots))
+    ref = outcome(oracle.imprint, z, labels, len(shots))
+    if isinstance(ref, tuple):
+        assert got == ref
+    else:
+        assert same_bits(got.weight, ref.weight)
+        assert same_bits(got.bias, ref.bias)
 
 
 @SETTINGS

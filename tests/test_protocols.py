@@ -140,6 +140,12 @@ def test_config_rejects_bad_schedule_and_rates(field, value):
         MethodConfig(method="baseline", **{field: value})
 
 
+def test_config_seed_must_fit_a_stream_key():
+    assert MethodConfig(method="baseline", seed=2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(ValidationError, match=r"seed must be below 2\*\*64"):
+        MethodConfig(method="baseline", seed=2**64 + 5)
+
+
 def test_config_fingerprint_is_unchanged_by_validation():
     # the fingerprint goes into every report, so it must not move when the
     # config gains checks

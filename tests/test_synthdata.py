@@ -220,6 +220,12 @@ def test_spec_validation():
         GeneratorSpec.from_dict({"n_train_classes": 1, "bogus": 2})
 
 
+def test_spec_seed_must_fit_a_stream_key():
+    assert _spec(seed=2**64 - 1).seed == 2**64 - 1
+    with pytest.raises(ValidationError, match=r"seed must be below 2\*\*64"):
+        _spec(seed=2**64 + 3)
+
+
 def test_spec_from_dict_names_missing_fields():
     with pytest.raises(ValidationError) as exc:
         GeneratorSpec.from_dict({"seed": 1, "n_val_classes": 2})
