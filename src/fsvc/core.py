@@ -604,32 +604,54 @@ def _check_capacity(
             )
 
 
-# Generator.choice's own set-up costs about five scalar integers() calls, and
-# a Floyd draw of `size` picks makes 2 * size - 1 of them, so only the
-# smallest draws are cheaper made one by one.  choice runs Floyd's algorithm
-# for every size this small: it switches to a tail shuffle only for
-# pop > 10000 and size > pop // 50.
-_SCALAR_PICKS_MAX = 2
+# Generator.choice(pop, size, replace=False) runs Floyd's algorithm unless
+# pop > 10000 and size > pop // 50, where it tail-shuffles an arange(pop), so
+# only a draw of more than this many picks can take the tail-shuffle side.
+_FLOYD_SIZE_MAX = 200
+
+_WORD = 1 << 32  # every draw below is made from 32-bit words of the generator
 
 
-def _choice(gen: np.random.Generator, pop: int, size: int) -> list[int]:
+def _below(n: int, words: list[int], gen: np.random.Generator) -> int:
+    """``int(gen.integers(n))`` for 1 <= n <= 2**32, drawn as numpy draws it.
+
+    numpy uses Lemire's method on the generator's 32-bit words: with w the
+    next word, m = w * n is redrawn while m mod 2**32 < (2**32 - n) % n, and
+    the pick is m >> 32; n = 1 takes no word.  The words come from ``words``
+    (the next ones, drawn ahead and held last-first), then from ``gen`` one at
+    a time, so the pick and the state after it are the scalar call's.  Every
+    n here is a class or video count of a loaded split, far below 2**32.
+    """
+    if n == 1:
+        return 0
+    while True:
+        m = (words.pop() if words else int(gen.integers(_WORD, dtype=np.uint32))) * n
+        low = m & 0xFFFFFFFF
+        if low >= n or low >= (_WORD - n) % n:
+            return m >> 32
+
+
+def _choice(
+    pop: int, size: int, words: list[int], gen: np.random.Generator
+) -> list[int]:
     """``gen.choice(pop, size, replace=False).tolist()``, 0 <= size <= pop.
 
-    Up to ``_SCALAR_PICKS_MAX`` picks are drawn as choice draws them, without
-    its Python-level set-up: Floyd's ``integers(j + 1)`` for j from
-    pop - size to pop - 1 (a repeat becomes j), then a Fisher-Yates shuffle
-    with ``integers(i + 1)`` for i from size - 1 down to 1.  The picks and the
-    generator state after them are those of ``gen.choice``.
+    On choice's Floyd side the picks are drawn as it draws them, each draw
+    made by ``_below``: ``integers(j + 1)`` for j from pop - size to pop - 1
+    (a repeat becomes j), then a Fisher-Yates shuffle with ``integers(i + 1)``
+    for i from size - 1 down to 1.  On its tail-shuffle side ``gen.choice``
+    itself is called, which takes the same words only if none were drawn
+    ahead.
     """
-    if size > _SCALAR_PICKS_MAX:
+    if pop > 10_000 and size > pop // 50:
+        assert not words
         return gen.choice(pop, size=size, replace=False).tolist()
-    integers = gen.integers
     picks: list[int] = []
     for j in range(pop - size, pop):
-        pick = int(integers(j + 1))
+        pick = _below(j + 1, words, gen)
         picks.append(j if pick in picks else pick)
     for i in range(size - 1, 0, -1):
-        k = int(integers(i + 1))
+        k = _below(i + 1, words, gen)
         picks[i], picks[k] = picks[k], picks[i]
     return picks
 
@@ -642,21 +664,43 @@ def sample_episode(
 ) -> Episode:
     """Uniform episode draw: classes without replacement, then videos without
     replacement within each class; one extra video from a uniformly chosen
-    class becomes the query."""
+    class becomes the query.
+
+    Picks and the generator state after them are those of ``Generator.choice``
+    and ``integers`` (``_choice``).  The words the draws take at the least are
+    drawn in one call: 2 * n_way for the classes and the query slot,
+    2 * k_shot - 1 per class and 2 for the query video, each less one when
+    every class is picked (Floyd's j = 0 step), when n_way = 1 (the query
+    slot) and when the smallest class, which may be the query's, holds
+    k_shot + 1 videos.  None are drawn ahead where a draw may take choice's
+    tail-shuffle side.
+    """
+    if n_way < 1 or k_shot < 1:
+        raise ValidationError(
+            f"need n_way >= 1 and k_shot >= 1, got n_way={n_way}, k_shot={k_shot}"
+        )
     _check_capacity(data, n_way, k_shot)
     gen = as_generator(rng)
-    chosen = _choice(gen, len(data.class_ids), n_way)
-    query_slot = int(gen.integers(n_way))
+    n_classes = len(data.class_ids)
+    if n_way > _FLOYD_SIZE_MAX or k_shot >= _FLOYD_SIZE_MAX:
+        words: list[int] = []
+    else:
+        count = 2 * n_way + n_way * (2 * k_shot - 1) + 2 - (n_classes == n_way)
+        count -= (n_way == 1) + (data.smallest == k_shot + 1)
+        words = gen.integers(_WORD, size=count, dtype=np.uint32).tolist()
+        words.reverse()
+    chosen = _choice(n_classes, n_way, words, gen)
+    query_slot = _below(n_way, words, gen)
     support: list[tuple[FeatureSequence, int]] = []
     query: tuple[FeatureSequence, int] | None = None
     for local, idx in enumerate(chosen):
         cid = data.class_ids[idx]
         videos = data.by_class[cid]
         need = k_shot + 1 if local == query_slot else k_shot
-        picks = _choice(gen, len(videos), need)
+        picks = _choice(len(videos), need, words, gen)
         for pick in picks[:k_shot]:
             support.append((videos[pick], local))
         if local == query_slot:
             query = (videos[picks[k_shot]], local)
-    assert query is not None
+    assert query is not None and not words
     return Episode(support=tuple(support), query=query)

@@ -131,6 +131,23 @@ def random_models(case, rs: np.random.Generator):
     {"n_way": 8, "k_shot": 12, "counts": [30] * 40, "frames": 3, "in_dim": 2,
      "dim": 3, "heads": 2, "normalize": True, "seed": 7, "skip": 3}
 )
+# every class is picked: the class draw's Floyd j = 0 step takes no word
+@example(
+    {"n_way": 5, "k_shot": 2, "counts": [4] * 5, "frames": 2, "in_dim": 3,
+     "dim": 2, "heads": 2, "normalize": False, "seed": 11, "skip": 1}
+)
+# every class holds exactly k_shot + 1 videos, so the query class's j = 0
+# step takes no word either
+@example(
+    {"n_way": 3, "k_shot": 4, "counts": [5] * 6, "frames": 2, "in_dim": 2,
+     "dim": 2, "heads": 1, "normalize": True, "seed": 12, "skip": 3}
+)
+# one short class among larger ones: the words drawn ahead assume the query
+# class is the short one, and a larger query class draws one more
+@example(
+    {"n_way": 4, "k_shot": 2, "counts": [20, 20, 3, 20, 20, 20], "frames": 2,
+     "in_dim": 2, "dim": 2, "heads": 2, "normalize": False, "seed": 13, "skip": 5}
+)
 def test_episode_path_matches_oracle_bitwise(case):
     rs = np.random.default_rng(case["seed"])
     data = build_split(case, rs)
@@ -152,6 +169,49 @@ def test_episode_path_matches_oracle_bitwise(case):
             assert got == want, cfg.method
 
 
+@pytest.mark.parametrize(
+    "counts, n_way, k_shot",
+    [
+        ([3, 5, 4], 1, 2),  # 1-way: the query-slot draw integers(1) takes no word
+        ([2] * 10_001, 201, 1),  # the class draw tail-shuffles
+        ([10_001] * 2, 2, 200),  # the query class's draw tail-shuffles
+    ],
+)
+def test_one_way_and_tail_shuffle_episodes_match_oracle(counts, n_way, k_shot):
+    """Episodes outside the fuzzed range.  Where ``choice`` may take its
+    tail-shuffle side, no words are drawn ahead and that draw is its own."""
+    case = {"counts": counts, "frames": 1, "in_dim": 1}
+    data = build_split(case, np.random.default_rng(9))
+    for skip in (0, 1, 3):
+        gen, ref_gen = advanced(9, skip), advanced(9, skip)
+        for _ in range(2):
+            episode = core.sample_episode(data, n_way, k_shot, gen)
+            ref = oracle.sample_episode(data, n_way, k_shot, ref_gen)
+            assert episode_view(episode) == episode_view(ref)
+            assert state_of(gen) == state_of(ref_gen)
+
+
+BOUNDS = (1, 2, 3, 7, 8, 15, (1 << 31) + 1, 3 << 30, 1 << 32)
+
+
+@pytest.mark.parametrize("skip", [0, 1, 2, 3])
+def test_word_draws_match_generator_integers(skip):
+    """``_below`` against ``Generator.integers(n)`` from the same state: 64
+    draws, the first words drawn ahead and the rest one at a time."""
+    for n in BOUNDS:
+        seed = n % 100_003 + skip
+        gen, ref_gen = advanced(seed, skip), advanced(seed, skip)
+        ahead = gen.integers(0, 1 << 32, size=32 if n > 1 else 0, dtype=np.uint32)
+        words = ahead.tolist()[::-1]
+        picks = [core._below(n, words, gen) for _ in range(64)]
+        assert picks == [int(ref_gen.integers(n)) for _ in range(64)], n
+        assert state_of(gen) == state_of(ref_gen), n
+        if n == (1 << 31) + 1:
+            # about half of all words are rejected at this bound
+            threshold = ((1 << 32) - n) % n
+            assert any((int(w) * n) % (1 << 32) < threshold for w in ahead)
+
+
 POPULATIONS = (
     # (population, sizes): small ones, both sides of 10000, and both sides
     # of pop // 50 above it, where choice switches to a tail shuffle
@@ -162,7 +222,7 @@ POPULATIONS = (
     (10_000, (1, 2, 200, 201, 10_000)),
     (10_001, (1, 2, 200, 201)),
     (20_000, (1, 2, 400, 401)),
-    (1 << 33, (1, 2)),  # draws past 32 bits
+    (1 << 32, (1, 2)),  # the largest population a draw takes
 )
 
 
@@ -170,21 +230,24 @@ def floyd_side(pop: int, size: int) -> bool:
     return pop <= 10_000 or size <= pop // 50
 
 
-@pytest.mark.parametrize("scalar_max", [None, 1 << 20])
+@pytest.mark.parametrize("ahead_max", [None, 1 << 20])
 @pytest.mark.parametrize("skip", [0, 1, 2, 3])
-def test_choice_helper_matches_generator_choice(scalar_max, skip, monkeypatch):
-    """``_choice`` as it runs, and with its scalar draws used for every size on
-    the Floyd side, against ``Generator.choice`` from the same state."""
-    if scalar_max is not None:
-        monkeypatch.setattr(core, "_SCALAR_PICKS_MAX", scalar_max)
+def test_choice_helper_matches_generator_choice(ahead_max, skip):
+    """``_choice`` against ``Generator.choice`` from the same state.  With
+    ``ahead_max`` None no words are drawn ahead, so every Floyd-side draw takes
+    its words from the generator one at a time, as when an episode is too large
+    to draw ahead.  Otherwise up to ``ahead_max`` of the words a Floyd-side
+    draw takes at the least (2 * size - 1, one fewer when size = pop) are drawn
+    ahead.  On the tail-shuffle side none are."""
     for pop, sizes in POPULATIONS:
         for size in sizes:
-            if scalar_max is not None and not floyd_side(pop, size):
-                continue
             seed = pop * 1009 + size
-            gen = advanced(seed, skip)
-            ref_gen = advanced(seed, skip)
-            picks = core._choice(gen, pop, size)
+            gen, ref_gen = advanced(seed, skip), advanced(seed, skip)
+            ahead = 0
+            if ahead_max is not None and floyd_side(pop, size) and size:
+                ahead = min(ahead_max, 2 * size - 1 - (size == pop))
+            words = gen.integers(0, 1 << 32, size=ahead, dtype=np.uint32).tolist()
+            picks = core._choice(pop, size, words[::-1], gen)
             ref = ref_gen.choice(pop, size=size, replace=False).tolist()
             assert picks == ref, (pop, size)
             assert state_of(gen) == state_of(ref_gen), (pop, size)

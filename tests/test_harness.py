@@ -14,6 +14,7 @@ import pytest
 from fsvc.core import (
     CapacityError,
     RngStream,
+    ValidationError,
     load_manifest,
     load_split,
     read_feature_file,
@@ -124,6 +125,15 @@ def test_capacity_errors(bench):
     )
     with pytest.raises(CapacityError, match=re.escape(message) + "$"):
         sample_episode(thin, 5, 2, RngStream(0, 0))
+
+
+@pytest.mark.parametrize("n_way, k_shot", [(0, 1), (-1, 1), (5, 0), (5, -1), (0, 99)])
+def test_non_positive_way_or_shot_is_a_validation_error(n_way, k_shot, bench):
+    # checked before capacity: (0, 99) is named as invalid, not as too large
+    data = load_split(bench, "test")
+    message = f"need n_way >= 1 and k_shot >= 1, got n_way={n_way}, k_shot={k_shot}"
+    with pytest.raises(ValidationError, match=re.escape(message) + "$"):
+        sample_episode(data, n_way, k_shot, RngStream(0, 0))
 
 
 def test_ci_formula_against_statistics_module():
