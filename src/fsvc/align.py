@@ -215,6 +215,8 @@ class SaliencyParams:
             raise ValidationError(
                 f"queries must be a (S>=1, C>=1) matrix, got shape {q.shape}"
             )
+        if not np.isfinite(q).all():
+            raise ValidationError("saliency queries must be finite")
         q.setflags(write=False)
         object.__setattr__(self, "queries", q)
         object.__setattr__(self, "scale", 1.0 / np.sqrt(q.shape[1]))

@@ -8,7 +8,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
-from .core import FormatError, FsvcError, load_manifest, rebase_manifest, save_manifest
+from .core import FormatError, FsvcError, load_manifest, save_manifest
 from .harness import build_splits, evaluate, write_report
 from .protocols import (
     METHODS,
@@ -50,7 +50,6 @@ def cmd_splits(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     result = build_splits(manifest, *counts, cap=args.cap, seed=args.seed)
     out = Path(args.out)
-    result = rebase_manifest(result, out.parent)
     save_manifest(result, out)
     print(out)
     return 0

@@ -260,14 +260,14 @@ def _open_in_place(path: str, flags: int) -> int:
 
 def read_feature_file(
     path: str | Path,
-    video_id: str | None = None,
+    video_id: str,
     class_id: int = 0,
     out: np.ndarray | None = None,
 ) -> FeatureSequence:
     """Read an FSVF file back into a sequence of its float32 frames.
 
-    Identity fields are not part of the on-disk layout; callers loading
-    through a manifest supply them, otherwise the file stem is used.  Without
+    Identity fields are not part of the on-disk layout, so the caller
+    supplies them (a manifest entry's, when a split is loaded).  Without
     ``out`` the sequence holds a read-only view of the bytes read.  With
     ``out``, a writable C-contiguous float32 array, the file's (T, C_in) must
     equal ``out.shape`` (``ValidationError`` naming the video, before
@@ -294,8 +294,6 @@ def read_feature_file(
             f"{path}: expected {expected} payload bytes for T={t}, "
             f"C_in={c_in}, got {got}"
         )
-    if video_id is None:
-        video_id = os.path.splitext(os.path.basename(path))[0]
     frames = np.frombuffer(
         data, dtype="<f4", offset=4 + _FSVF_HEADER.size
     ).reshape(t, c_in)
@@ -327,15 +325,16 @@ class VideoEntry:
 class Manifest:
     """Index of a benchmark: class registry plus per-video file references.
 
-    The train/val/test class sets must be pairwise disjoint; violations are
-    rejected at load time, never repaired.
+    Video file paths are relative to ``root``, for a loaded manifest the
+    directory of its file.  The train/val/test class sets must be pairwise
+    disjoint; violations are rejected at load time, never repaired.
     """
 
     classes: tuple[tuple[int, str], ...]
     videos: tuple[VideoEntry, ...]
     frame_count: int
     feature_dim: int
-    root: Path | None = None
+    root: Path
 
     def __post_init__(self) -> None:
         if self.frame_count < 1 or self.feature_dim < 1:
@@ -394,19 +393,28 @@ class Manifest:
 
     def resolve(self, entry: VideoEntry) -> str:
         """The entry's file path, joined to the manifest root."""
-        base = self.root if self.root is not None else "."
-        return os.path.join(base, entry.file_path)
+        return os.path.join(self.root, entry.file_path)
 
 
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
+    """Write ``manifest`` to ``path`` as JSON, each video's file path made
+    relative to the directory of ``path``, so the saved manifest resolves
+    the same files wherever it is written."""
+    home = Path(path).parent
+    prefixes: dict[str, str] = {}  # relpath is 7 us a call: one per directory
+    videos = []
+    for v in manifest.videos:
+        cut = v.file_path.rfind("/") + 1
+        head, tail = v.file_path[:cut], v.file_path[cut:]
+        if head not in prefixes:
+            rel = os.path.relpath(os.path.join(manifest.root, head), home)
+            prefixes[head] = "" if rel == os.curdir else rel + "/"
+        videos.append([v.video_id, v.class_id, prefixes[head] + tail, v.split])
     doc = {
         "frame_count": manifest.frame_count,
         "feature_dim": manifest.feature_dim,
         "classes": [[cid, name] for cid, name in manifest.classes],
-        "videos": [
-            [v.video_id, v.class_id, v.file_path, v.split]
-            for v in manifest.videos
-        ],
+        "videos": videos,
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -465,28 +473,6 @@ def load_manifest(path: str | Path) -> Manifest:
     return manifest
 
 
-def rebase_manifest(manifest: Manifest, new_root: str | Path) -> Manifest:
-    """Rewrite file paths relative to a new directory, keeping them valid."""
-    new_root = Path(new_root)
-    old_root = manifest.root if manifest.root is not None else Path(".")
-    videos = tuple(
-        VideoEntry(
-            v.video_id,
-            v.class_id,
-            os.path.relpath(old_root / v.file_path, new_root),
-            v.split,
-        )
-        for v in manifest.videos
-    )
-    return Manifest(
-        classes=manifest.classes,
-        videos=videos,
-        frame_count=manifest.frame_count,
-        feature_dim=manifest.feature_dim,
-        root=new_root,
-    )
-
-
 def empty_frames(what: str, dtype: type, **dims: int) -> np.ndarray:
     """A new ``dtype`` array for ``what``, shaped by the values of ``dims``;
     dims too large to allocate are a ``ValidationError`` naming each dim."""
@@ -495,29 +481,6 @@ def empty_frames(what: str, dtype: type, **dims: int) -> np.ndarray:
     except (ValueError, MemoryError) as exc:
         named = " x ".join(f"{name} {size}" for name, size in dims.items())
         raise ValidationError(f"{what}: cannot allocate {named}: {exc}") from exc
-
-
-def load_sequence(
-    manifest: Manifest, entry: VideoEntry, out: np.ndarray | None = None
-) -> FeatureSequence:
-    """Load one manifest entry, enforcing the manifest-wide T and C_in.
-
-    The float32 frames are copied into ``out``, a (frame_count, feature_dim)
-    float32 row, or into a new array when it is None.
-    """
-    if out is None:
-        out = empty_frames(
-            f"video {entry.video_id!r}",
-            np.float32,
-            frame_count=manifest.frame_count,
-            feature_dim=manifest.feature_dim,
-        )
-    return read_feature_file(
-        manifest.resolve(entry),
-        video_id=entry.video_id,
-        class_id=entry.class_id,
-        out=out,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +521,8 @@ class SplitData:
 def load_split(manifest: Manifest, split: str) -> SplitData:
     """Read the split's files, in manifest order, each into its row of one
     float32 block, which is then made read-only; the block holds exactly the
-    files' payloads."""
+    files' payloads.  A file whose (T, C_in) is not the manifest's is a
+    ``ValidationError`` naming its video."""
     entries = manifest.split_videos(split)
     ordered = sorted(entries, key=lambda e: (e.class_id, e.video_id))
     slot = {e.video_id: s for s, e in enumerate(ordered)}  # ids are unique
@@ -570,7 +534,9 @@ def load_split(manifest: Manifest, split: str) -> SplitData:
         feature_dim=manifest.feature_dim,
     )
     loaded = {
-        e.video_id: load_sequence(manifest, e, out=frames[slot[e.video_id]])
+        e.video_id: read_feature_file(
+            manifest.resolve(e), e.video_id, e.class_id, out=frames[slot[e.video_id]]
+        )
         for e in entries
     }
     frames.flags.writeable = False

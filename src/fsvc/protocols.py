@@ -55,6 +55,7 @@ from .core import (
     _stream_generators,
     as_generator,
     check_field_types,
+    empty_frames,
     load_split,
     sample_episode,
 )
@@ -97,8 +98,9 @@ FSVM_BLOCKS = {
 def init_embedding(
     rng: RngStream | np.random.Generator, out_dim: int, in_dim: int
 ) -> LinearHead:
-    gen = as_generator(rng)
-    w = gen.standard_normal((out_dim, in_dim)) / np.sqrt(in_dim)
+    w = empty_frames("embedding", np.float64, embed_dim=out_dim, feature_dim=in_dim)
+    as_generator(rng).standard_normal(out=w)
+    w /= np.sqrt(in_dim)
     return LinearHead(w, np.zeros(out_dim))
 
 
@@ -738,7 +740,7 @@ def meta_train(
 def pretrain_embedding(
     pretrain_manifest: Manifest | None,
     cfg: MethodConfig,
-    benchmark: Manifest | None = None,
+    benchmark: Manifest,
 ) -> LinearHead:
     """Train the embedding by classification on a disjoint pretraining set.
 
@@ -751,19 +753,16 @@ def pretrain_embedding(
         raise ValidationError(
             "init 'pretrained' needs a pretraining manifest with videos"
         )
-    if benchmark is not None:
-        if pretrain_manifest.feature_dim != benchmark.feature_dim:
-            raise ValidationError(
-                f"pretraining features are {pretrain_manifest.feature_dim} wide, "
-                f"the benchmark's {benchmark.feature_dim}"
-            )
-        pre_ids = {cid for cid, _ in pretrain_manifest.classes}
-        bench_ids = {cid for cid, _ in benchmark.classes}
-        shared = sorted(pre_ids & bench_ids)
-        if shared:
-            raise LeakageError(
-                f"pretraining classes {shared} also appear in the benchmark"
-            )
+    if pretrain_manifest.feature_dim != benchmark.feature_dim:
+        raise ValidationError(
+            f"pretraining features are {pretrain_manifest.feature_dim} wide, "
+            f"the benchmark's {benchmark.feature_dim}"
+        )
+    pre_ids = {cid for cid, _ in pretrain_manifest.classes}
+    bench_ids = {cid for cid, _ in benchmark.classes}
+    shared = sorted(pre_ids & bench_ids)
+    if shared:
+        raise LeakageError(f"pretraining classes {shared} also appear in the benchmark")
     pcfg = replace(cfg, method="baseline", init="scratch", lr_base=None)
     model = train_classification(
         pretrain_manifest,
@@ -782,9 +781,7 @@ def train_model(
     """Dispatch to classification or episodic training per the method."""
     embedding_init = None
     if cfg.init == "pretrained":
-        embedding_init = pretrain_embedding(
-            pretrain_manifest, cfg, benchmark=manifest
-        )
+        embedding_init = pretrain_embedding(pretrain_manifest, cfg, manifest)
     if cfg.method in CLASSIFIER_METHODS:
         return train_classification(manifest, cfg, embedding_init=embedding_init)
     return meta_train(manifest, cfg, embedding_init=embedding_init)

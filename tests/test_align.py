@@ -254,6 +254,15 @@ def test_saliency_attention_on_a_stack_matches_each_video():
     for v in range(len(stack)):
         assert np.array_equal(att[v], saliency_attention(stack[v], params))
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_saliency_queries_must_be_finite(bad):
+    q = np.zeros((2, 3))
+    q[1, 2] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        SaliencyParams(q)
+
+
 def test_validate_path_rejects_bad_paths():
     with pytest.raises(ValidationError):
         validate_path([(0, 0), (2, 2)], (3, 3))

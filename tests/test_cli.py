@@ -314,6 +314,46 @@ def test_eval_rejects_checkpoint_of_other_feature_dim(bench_dir):
     assert not (bench_dir / "never.json").exists()
 
 
+def test_eval_rejects_nonfinite_saliency_queries(bench_dir, tmp_path):
+    from fsvc.align import SaliencyParams
+    from fsvc.protocols import MethodConfig, TrainedModel, init_embedding, save_checkpoint
+
+    path = tmp_path / "nan-query.fsvm"
+    emb = init_embedding(np.random.default_rng(0), 8, SPEC["feature_dim"])
+    sal = SaliencyParams(np.zeros((4, 8)))
+    save_checkpoint(TrainedModel(emb, None, sal, MethodConfig("cmn-lite", embed_dim=8)), path)
+    # saliency.queries is the last block, so the file ends with its last value
+    path.write_bytes(path.read_bytes()[:-8] + np.array([np.nan], "<f8").tobytes())
+    report = tmp_path / "report.json"
+    proc = _run_cli(
+        "eval", "--ckpt", str(path),
+        "--manifest", str(bench_dir / "bench" / "manifest.json"),
+        "--episodes", "3", "--report", str(report),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: saliency queries must be finite\n"
+    assert not report.exists()
+
+
+# an embedding of 2**62 rows overflows intp, so nothing is allocated
+@pytest.mark.parametrize("method", ["baseline", "meta-baseline"])
+def test_train_unallocatable_embed_dim_is_clean_error(bench_dir, tmp_path, method):
+    out = tmp_path / "model.fsvm"
+    proc = _run_cli(
+        "train", "--method", method,
+        "--manifest", str(bench_dir / "bench" / "manifest.json"),
+        "--embed-dim", str(2**62), "--out", str(out),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(
+        f"error: embedding: cannot allocate embed_dim {2**62} x feature_dim 10: "
+    )
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["baseline", "meta-baseline"])
 def test_train_rejects_pretraining_of_other_feature_dim(bench_dir, method):
     spec_path = bench_dir / "spec7.json"

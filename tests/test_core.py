@@ -1,8 +1,11 @@
 """Feature-file I/O, manifests, and deterministic RNG streams."""
 
+import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from fsvc.core import (
     VideoEntry,
     _stream_generators,
     load_manifest,
-    load_sequence,
     load_split,
     read_feature_file,
     save_manifest,
@@ -68,7 +70,7 @@ def test_round_trip_single_precision_payload(tmp_path):
         seq = FeatureSequence(f"v{i}", 0, frames)
         path = tmp_path / "x.fsvf"
         write_feature_file(seq, path)
-        back = read_feature_file(path)
+        back = read_feature_file(path, f"v{i}")
         assert np.array_equal(
             back.frames.astype(np.float32), frames.astype(np.float32)
         )
@@ -102,7 +104,7 @@ def test_read_frames_are_bitwise_float32_widened(tmp_path):
     path = tmp_path / "w.fsvf"
     write_feature_file(FeatureSequence("w", 0, frames), path)
     payload = path.read_bytes()[16:]
-    back = read_feature_file(path).frames
+    back = read_feature_file(path, "w").frames
     stored = np.frombuffer(payload, dtype="<f4").reshape(2, 3)
     assert back.dtype == np.float32 and back.shape == (2, 3)
     assert back.tobytes() == stored.tobytes()
@@ -134,7 +136,7 @@ def test_bad_magic_names_first_bytes(tmp_path):
     path = tmp_path / "bad.fsvf"
     path.write_bytes(b"XXXX" + bytes(16))
     with pytest.raises(FormatError, match="XXXX"):
-        read_feature_file(path)
+        read_feature_file(path, "v")
 
 
 def test_truncated_payload_reports_byte_counts(tmp_path):
@@ -144,7 +146,7 @@ def test_truncated_payload_reports_byte_counts(tmp_path):
     header = b"FSVF" + struct.pack("<III", 1, 8, 32)
     path.write_bytes(header + bytes(100))
     with pytest.raises(LengthError, match="1024") as err:
-        read_feature_file(path)
+        read_feature_file(path, "v")
     assert "100" in str(err.value)
 
 
@@ -154,7 +156,7 @@ def test_wrong_version_rejected(tmp_path):
     path = tmp_path / "v9.fsvf"
     path.write_bytes(b"FSVF" + struct.pack("<III", 9, 1, 1) + bytes(4))
     with pytest.raises(FormatError, match="version"):
-        read_feature_file(path)
+        read_feature_file(path, "v")
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +198,62 @@ def test_manifest_round_trip(tmp_path):
     assert back.videos == manifest.videos
     assert back.frame_count == manifest.frame_count
     assert back.feature_dim == manifest.feature_dim
+
+
+@pytest.mark.parametrize("root", ["absolute", "relative"])
+def test_saved_manifest_resolves_from_its_own_directory(tmp_path, monkeypatch, root):
+    names = "abcdef"
+    data = tmp_path / "data"
+    data.mkdir()
+    frames = RngStream(3, 0).generator().standard_normal((len(names), 2, 3))
+    write_feature_files(frames, [data / f"{n}.fsvf" for n in names])
+    monkeypatch.chdir(tmp_path)
+    splits = ("train",) * 4 + ("test",) * 2
+    source = _manifest(
+        data if root == "absolute" else Path("data"),
+        [
+            VideoEntry(n, cid, f"{n}.fsvf", split)
+            for n, cid, split in zip(names, (0, 0, 1, 1, 2, 2), splits)
+        ],
+        [(0, "c0"), (1, "c1"), (2, "c2")],
+    )
+    out = tmp_path / "x" / "y" / "manifest.json"  # two directories from the files
+    out.parent.mkdir(parents=True)
+    save_manifest(source, out)
+    back = load_manifest(out)
+    assert [v.file_path for v in back.videos] == [f"../../data/{n}.fsvf" for n in names]
+    for split in ("train", "test"):
+        want, got = load_split(source, split), load_split(back, split)
+        assert got.frames.tobytes() == want.frames.tobytes()
+        assert got.labels.tobytes() == want.labels.tobytes()
+
+
+@pytest.mark.parametrize("home", [".", "data", "data/sub", "x/y", ".."])
+def test_saved_paths_are_each_files_relpath(tmp_path, home):
+    """save_manifest takes one relpath per directory; each written path must
+    still be exactly the file's own relpath from the manifest's directory."""
+    root = tmp_path / "r"
+    paths = [
+        "a.fsvf",
+        "data/b.fsvf",
+        "data/sub/c.fsvf",
+        "data/../d.fsvf",
+        "./data//e.fsvf",
+        "../f.fsvf",
+        str(tmp_path / "g.fsvf"),
+        "data/sub/h.fsvf",
+    ]
+    source = _manifest(
+        root,
+        [VideoEntry(f"v{i}", 0, p, "train") for i, p in enumerate(paths)],
+        [(0, "c0")],
+    )
+    out = root / home / "m.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_manifest(source, out)
+    written = [row[2] for row in json.loads(out.read_text())["videos"]]
+    want = [os.path.relpath(source.resolve(v), out.parent) for v in source.videos]
+    assert written == want
 
 
 def test_overlapping_split_classes_rejected(tmp_path):
@@ -251,18 +309,9 @@ def test_missing_feature_file_rejected(tmp_path):
 
 def test_load_sequence_checks_manifest_dims(tmp_path):
     _write_feature(tmp_path, "a", t=2, c=3)
-    manifest = _manifest(
-        tmp_path,
-        [VideoEntry("a", 0, "a.fsvf", "train")],
-        [(0, "c0")],
-        t=8,
-        c=3,
-    )
-    with pytest.raises(ValidationError, match="frame count"):
-        load_sequence(manifest, manifest.videos[0])
-    row = np.full((8, 3), 7.0)
-    with pytest.raises(ValidationError, match="video 'a'"):
-        load_sequence(manifest, manifest.videos[0], out=row)
+    row = np.full((8, 3), 7.0, dtype=np.float32)  # a manifest row of T=8
+    with pytest.raises(ValidationError, match="video 'a': frame count 2"):
+        read_feature_file(tmp_path / "a.fsvf", "a", out=row)
     assert (row == 7.0).all()  # checked before anything is written
 
 
@@ -274,8 +323,6 @@ def test_unallocatable_manifest_dims_are_validation_errors(tmp_path):
         tmp_path, [VideoEntry("a", 0, "a.fsvf", "train")], [(0, "c0")], t=big, c=big
     )
     dims = f"frame_count {big} x feature_dim {big}"
-    with pytest.raises(ValidationError, match=f"video 'a': .*{dims}"):
-        load_sequence(manifest, manifest.videos[0])
     with pytest.raises(ValidationError, match=f"train split: .*{dims}"):
         load_split(manifest, "train")
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalar_oracle as oracle
-from fsvc.core import RngStream, load_manifest, load_sequence, read_feature_file
+from fsvc.core import SPLITS, RngStream, load_manifest, load_split
 from fsvc.synthdata import (
     GeneratorSpec,
     _video_block,
@@ -93,13 +93,19 @@ def test_load_sequence_matches_oracle_reader(tmp_path):
     gen_benchmark(spec, tmp_path / "b")
     for name in ("manifest.json", "pretrain_manifest.json"):
         manifest = load_manifest(tmp_path / "b" / name)
+        loaded = {
+            seq.video_id: seq
+            for split in SPLITS
+            for videos in load_split(manifest, split).by_class.values()
+            for seq in videos
+        }
+        assert len(loaded) == len(manifest.videos)
         for entry in manifest.videos:
             path = os.path.join(tmp_path / "b", entry.file_path)
-            seq = load_sequence(manifest, entry)
+            seq = loaded[entry.video_id]
             # held at the file's precision, widened exactly for computation
             assert seq.frames.dtype == np.float32
             widened = np.asarray(seq.frames, dtype=np.float64)
             assert same_bits(widened, oracle.read_feature_frames(path))
             assert not seq.frames.flags.writeable
-            assert (seq.video_id, seq.class_id) == (entry.video_id, entry.class_id)
-            assert read_feature_file(path).video_id == entry.video_id  # file stem
+            assert seq.class_id == entry.class_id

@@ -353,11 +353,11 @@ def test_build_splits_insufficient_classes(big_manifest):
 
 
 def test_split_manifest_loads_and_evaluates(big_manifest, tmp_path):
-    from fsvc.core import rebase_manifest, save_manifest
+    from fsvc.core import save_manifest
 
     result = build_splits(big_manifest, 10, 5, 5, cap=None, seed=1)
     out = tmp_path / "splits.json"
-    save_manifest(rebase_manifest(result, tmp_path), out)
+    save_manifest(result, out)
     back = load_manifest(out)
     cfg = MethodConfig(
         method="baseline",
@@ -391,7 +391,7 @@ def test_split_frames_are_one_read_only_block(bench):
             assert not seq.frames.flags.writeable
             assert np.shares_memory(seq.frames, split.frames)
             assert seq.frames.tobytes() == split.frames[row].tobytes()
-            on_disk = read_feature_file(paths[seq.video_id]).frames
+            on_disk = read_feature_file(paths[seq.video_id], seq.video_id).frames
             assert split.frames[row].tobytes() == on_disk.tobytes()
             # the file's payload, and the float64 frames computation sees
             data = Path(paths[seq.video_id]).read_bytes()

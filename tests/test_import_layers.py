@@ -1,6 +1,7 @@
 """The package's modules import each other without a cycle, and only at the
 top level, so each module's place in the layering is visible in its header;
-and every top-level definition has a caller in the program."""
+and every top-level definition, method and property has a caller in the
+program."""
 
 import ast
 import graphlib
@@ -61,20 +62,37 @@ def _names_used(node: ast.AST) -> Counter:
     )
 
 
+def _definitions(tree: ast.Module, module: str) -> list[tuple[str, ast.AST]]:
+    """(qualified name, node) for each top-level function and class of a
+    module, and for each method and property of its classes but the dunder
+    methods, which Python calls itself."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        found.append((f"{module}.{node.name}", node))
+        if isinstance(node, ast.ClassDef):
+            found += [
+                (f"{module}.{node.name}.{member.name}", member)
+                for member in node.body
+                if isinstance(member, ast.FunctionDef)
+                and not (member.name.startswith("__") and member.name.endswith("__"))
+            ]
+    return found
+
+
 def test_every_definition_has_a_caller_in_the_program():
-    """A top-level function or class of the package that nothing in the
-    package or the benchmark names, outside its own body, serves only the
-    tests and belongs with them."""
+    """A function, class, method or property of the package that nothing in
+    the package or the benchmark names, outside its own body, serves only
+    the tests and belongs with them."""
     used: Counter = Counter()
     defs = []
     for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         used += _names_used(tree)
         if path.parent == PACKAGE:
-            defs += [
-                (f"{path.stem}.{node.name}", node.name, _names_used(node)[node.name])
-                for node in tree.body
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            ]
-    unused = [qual for qual, name, own in defs if used[name] == own]
+            defs += _definitions(tree, path.stem)
+    unused = [
+        qual for qual, node in defs if used[node.name] == _names_used(node)[node.name]
+    ]
     assert not unused, "no caller in the program: " + ", ".join(unused)

@@ -636,10 +636,10 @@ def test_pretrain_without_data_rejected(bench):
 
 
 def test_pretrain_deterministic(bench):
-    _, pretrain = bench
+    manifest, pretrain = bench
     cfg = _fast_cfg("baseline")
-    a = pretrain_embedding(pretrain, cfg)
-    b = pretrain_embedding(pretrain, cfg)
+    a = pretrain_embedding(pretrain, cfg, benchmark=manifest)
+    b = pretrain_embedding(pretrain, cfg, benchmark=manifest)
     assert np.array_equal(a.weight, b.weight)
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fsvc.align import cosine, dtw, frame_distance_matrix
-from fsvc.core import RngStream, ValidationError, load_manifest, load_sequence
+from fsvc.core import RngStream, ValidationError, load_manifest, load_split
 from fsvc.synthdata import (
     GeneratorSpec,
     _video_block,
@@ -124,8 +124,7 @@ def test_benchmark_counts_and_disjoint_splits(tmp_path):
     assert not (train & val) and not (train & test) and not (val & test)
     # files load back through the manifest machinery
     reloaded = load_manifest(tmp_path / "bench" / "manifest.json")
-    seq = load_sequence(reloaded, reloaded.videos[0])
-    assert seq.frames.shape == (4, 8)
+    assert load_split(reloaded, "train").frames.shape == (40, 4, 8)
 
 
 def test_benchmark_byte_identical_across_runs(tmp_path):
@@ -162,10 +161,10 @@ def test_class_separability_of_mean_pooled_features(tmp_path):
         prototype_len=32,
     )
     manifest = gen_benchmark(spec, tmp_path / "sep")
-    pooled = {}
-    for entry in manifest.videos:
-        seq = load_sequence(manifest, entry)
-        pooled.setdefault(entry.class_id, []).append(seq.frames.mean(axis=0))
+    pooled = {
+        cid: [seq.frames.mean(axis=0) for seq in videos]
+        for cid, videos in load_split(manifest, "test").by_class.items()
+    }
     within, between = [], []
     cids = sorted(pooled)
     for i, ci in enumerate(cids):
@@ -191,10 +190,10 @@ def test_warp_sensitivity_alignment_beats_framewise(tmp_path):
         prototype_len=32,
     )
     manifest = gen_benchmark(spec, tmp_path / "warp")
-    by_class = {}
-    for entry in manifest.videos:
-        seq = load_sequence(manifest, entry)
-        by_class.setdefault(entry.class_id, []).append(seq.frames)
+    by_class = {
+        cid: [seq.frames for seq in videos]
+        for cid, videos in load_split(manifest, "test").by_class.items()
+    }
     framewise, aligned = [], []
     for frames_list in by_class.values():
         for a in range(len(frames_list)):
