@@ -20,6 +20,7 @@ import struct
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import groupby
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -227,7 +228,15 @@ def write_feature_files(frames: np.ndarray, paths: list[str | Path]) -> None:
     Layout, bit-exact: 4 magic bytes "FSVF", then u32-LE version, u32-LE T,
     u32-LE C_in, then T*C_in IEEE-754 float32 little-endian values in
     frame-major order.  The block is checked and converted once; each file
-    is then one header and one slice of the converted block.
+    is then one ``writev`` of the header and one slice of the converted
+    block, finished by plain writes if the kernel takes fewer bytes.
+
+    An existing file is rewritten from offset 0, not opened with
+    ``O_TRUNC``, and cut to the new size only if it was longer.  On ext4 a
+    file truncated to zero and written again is flushed to disk when it is
+    closed (the ``auto_da_alloc`` default); on an ext4 virtio disk of a
+    2-core VM that made rewriting a 2 KB feature file cost 150-300 us,
+    against about 15 us for the same bytes written in place.
     """
     if frames.ndim != 3 or frames.shape[0] != len(paths):
         raise ShapeError(
@@ -239,74 +248,75 @@ def write_feature_files(frames: np.ndarray, paths: list[str | Path]) -> None:
     _, t, c_in = frames.shape
     header = FSVF_MAGIC + _FSVF_HEADER.pack(FSVF_VERSION, t, c_in)
     payload = np.ascontiguousarray(frames, dtype="<f4")
+    size = len(header) + 4 * t * c_in
     for path, rows in zip(paths, payload):
-        with open(path, "wb", opener=_open_in_place) as f:
-            f.write(header)
-            f.write(rows)
-            f.truncate()
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            done = os.writev(fd, (header, rows))
+            if done < size:
+                rest = memoryview(header + rows.tobytes())[done:]
+                while rest:
+                    rest = rest[os.write(fd, rest) :]
+            if os.fstat(fd).st_size > size:
+                os.ftruncate(fd, size)
+        finally:
+            os.close(fd)
 
 
-def _open_in_place(path: str, flags: int) -> int:
-    """``open`` opener that rewrites an existing file from offset 0 instead
-    of truncating it to zero; the writer truncates it at the end.
-
-    On ext4 a file truncated to zero and written again is flushed to disk
-    when it is closed (the ``auto_da_alloc`` default).  On an ext4 virtio
-    disk of a 2-core VM that made rewriting a 2 KB feature file cost
-    150-300 us, against about 15 us for the same bytes written in place.
-    """
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+_FSVF_PAYLOAD = len(FSVF_MAGIC) + _FSVF_HEADER.size  # offset of the frames
 
 
 def read_feature_file(
-    path: str | Path,
-    video_id: str,
-    class_id: int = 0,
-    out: np.ndarray | None = None,
+    path: str | Path, video_id: str, class_id: int, out: np.ndarray
 ) -> FeatureSequence:
-    """Read an FSVF file back into a sequence of its float32 frames.
+    """Read an FSVF file into ``out``, a writable C-contiguous ``<f4`` array,
+    and return the sequence of those frames.
 
     Identity fields are not part of the on-disk layout, so the caller
-    supplies them (a manifest entry's, when a split is loaded).  Without
-    ``out`` the sequence holds a read-only view of the bytes read.  With
-    ``out``, a writable C-contiguous float32 array, the file's (T, C_in) must
-    equal ``out.shape`` (``ValidationError`` naming the video, before
-    anything is written); the payload is copied into ``out`` unchanged, and
-    ``out`` is then made read-only and held by the sequence.
+    supplies them (a manifest entry's, when a split is loaded).  The file is
+    read with one ``readv`` of its header, the payload ``out`` expects and
+    one byte more, which shows a longer file; its size is looked up only
+    then.  The file's (T, C_in) must equal ``out.shape`` (``ValidationError``
+    naming the video); nothing is written to ``out`` unless every check
+    passes.  The payload is then copied into ``out`` unchanged, and ``out``
+    is made read-only and held by the sequence.
     """
-    with open(path, "rb", buffering=0) as f:
-        data = f.read()
-    if len(data) < 4 or data[:4] != FSVF_MAGIC:
+    data = bytearray(_FSVF_PAYLOAD + out.nbytes + 1)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        total = os.readv(fd, (data,))
+        if total == len(data):
+            total = os.fstat(fd).st_size
+    except OSError as exc:  # a directory opens, then fails here, unnamed
+        exc.filename = str(path)
+        raise
+    finally:
+        os.close(fd)
+    if total < 4 or data[:4] != FSVF_MAGIC:
         raise FormatError(
-            f"{path}: bad magic {data[:4]!r}, expected {FSVF_MAGIC!r}"
+            f"{path}: bad magic {bytes(data[:min(total, 4)])!r}, "
+            f"expected {FSVF_MAGIC!r}"
         )
-    if len(data) < 4 + _FSVF_HEADER.size:
-        raise LengthError(
-            f"{path}: truncated header, {len(data)} bytes total"
-        )
+    if total < _FSVF_PAYLOAD:
+        raise LengthError(f"{path}: truncated header, {total} bytes total")
     version, t, c_in = _FSVF_HEADER.unpack_from(data, 4)
     if version != FSVF_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
     expected = t * c_in * 4
-    got = len(data) - 4 - _FSVF_HEADER.size
+    got = total - _FSVF_PAYLOAD
     if got != expected:
         raise LengthError(
             f"{path}: expected {expected} payload bytes for T={t}, "
             f"C_in={c_in}, got {got}"
         )
-    frames = np.frombuffer(
-        data, dtype="<f4", offset=4 + _FSVF_HEADER.size
-    ).reshape(t, c_in)
-    if out is not None:
-        if out.shape != (t, c_in):
-            raise ValidationError(
-                f"video {video_id!r}: frame count {t} and feature dim {c_in} "
-                f"do not match the expected (T, C_in) {out.shape}"
-            )
-        out[...] = frames
-        out.setflags(write=False)
-        frames = out
-    return FeatureSequence(video_id=video_id, class_id=class_id, frames=frames)
+    if out.shape != (t, c_in):
+        raise ValidationError(
+            f"video {video_id!r}: frame count {t} and feature dim {c_in} "
+            f"do not match the expected (T, C_in) {out.shape}"
+        )
+    memoryview(out).cast("B")[:] = memoryview(data)[_FSVF_PAYLOAD:total]
+    out.setflags(write=False)
+    return FeatureSequence(video_id=video_id, class_id=class_id, frames=out)
 
 
 # ---------------------------------------------------------------------------
@@ -396,34 +406,74 @@ class Manifest:
         return os.path.join(self.root, entry.file_path)
 
 
+# the field types of a manifest's rows, as saved and as loaded, and each
+# row's text in the saved file, as json.dumps(doc, indent=2) writes it
+_MANIFEST_ROWS = {"classes": (int, str), "videos": (str, int, str, str)}
+_json_str = encode_basestring_ascii
+_ROW_TEXT = {
+    "classes": lambda cid, name: f"    [\n      {cid},\n      {_json_str(name)}\n    ]",
+    "videos": lambda video_id, cid, path, split: (
+        f"    [\n      {_json_str(video_id)},\n      {cid},\n"
+        f"      {_json_str(path)},\n      {_json_str(split)}\n    ]"
+    ),
+}
+
+
 def save_manifest(manifest: Manifest, path: str | Path) -> None:
     """Write ``manifest`` to ``path`` as JSON, each video's file path made
     relative to the directory of ``path``, so the saved manifest resolves
-    the same files wherever it is written."""
+    the same files wherever it is written.
+
+    The text is ``json.dumps(doc, indent=2) + "\\n"`` byte for byte, built
+    row by row.  A header value or row field that would not load back as
+    its type (a bool or numpy integer for an int) is a ``ValidationError``
+    naming it, before anything is written.
+    """
     home = Path(path).parent
     prefixes: dict[str, str] = {}  # relpath is 7 us a call: one per directory
     videos = []
     for v in manifest.videos:
-        cut = v.file_path.rfind("/") + 1
-        head, tail = v.file_path[:cut], v.file_path[cut:]
+        head, slash, name = v.file_path.rpartition("/")
+        head += slash  # "" or ending in "/", so "/x" keeps its root
         if head not in prefixes:
             rel = os.path.relpath(os.path.join(manifest.root, head), home)
             prefixes[head] = "" if rel == os.curdir else rel + "/"
-        videos.append([v.video_id, v.class_id, prefixes[head] + tail, v.split])
-    doc = {
-        "frame_count": manifest.frame_count,
-        "feature_dim": manifest.feature_dim,
-        "classes": [[cid, name] for cid, name in manifest.classes],
-        "videos": videos,
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+        videos.append((v.video_id, v.class_id, prefixes[head] + name, v.split))
+    members = []
+    for key in ("frame_count", "feature_dim"):
+        value = getattr(manifest, key)
+        if type(value) is not int:
+            raise ValidationError(
+                f"{path}: manifest field {key!r} must be an integer, got {value!r}"
+            )
+        members.append(f'  "{key}": {value}')
+    members.append(f'  "classes": {_json_rows(path, "classes", manifest.classes)}')
+    members.append(f'  "videos": {_json_rows(path, "videos", videos)}')
+    Path(path).write_text("{\n" + ",\n".join(members) + "\n}\n")
 
 
-def _manifest_rows(path: Path, doc: dict, key: str, types: tuple) -> list:
-    """The rows of ``doc[key]``, each a list whose fields have ``types``."""
+def _json_rows(path: str | Path, key: str, rows) -> str:
+    """``json.dumps(rows, indent=2)`` for a list of ``key`` rows one level
+    into the manifest object, each row checked against ``_MANIFEST_ROWS``."""
+    if not rows:
+        return "[]"
+    types = _MANIFEST_ROWS[key]
+    for i, row in enumerate(rows):
+        if tuple(map(type, row)) != types:
+            names = ", ".join(t.__name__ for t in types)
+            raise ValidationError(
+                f"{path}: {key} row {i} {list(row)!r} is not [{names}]"
+            )
+    text = _ROW_TEXT[key]
+    return "[\n" + ",\n".join([text(*row) for row in rows]) + "\n  ]"
+
+
+def _manifest_rows(path: Path, doc: dict, key: str) -> list:
+    """The rows of ``doc[key]``, each a list of the ``_MANIFEST_ROWS`` types."""
     rows = doc[key]
     if not isinstance(rows, list):
         raise FormatError(f"{path}: manifest field {key!r} is not a list")
+    types = _MANIFEST_ROWS[key]
     for i, row in enumerate(rows):
         if not isinstance(row, list) or tuple(map(type, row)) != types:
             names = ", ".join(t.__name__ for t in types)
@@ -431,9 +481,35 @@ def _manifest_rows(path: Path, doc: dict, key: str, types: tuple) -> list:
     return rows
 
 
+def _unresolved(manifest: Manifest) -> list[str]:
+    """The file paths of ``manifest`` that name no regular file (or link to
+    one), in manifest order.
+
+    Each directory is listed once; a name not listed as a regular file (say,
+    in a directory that cannot be listed) is then checked on its own, so a
+    directory, a dangling link or a missing file never passes.
+    """
+    listed: dict[str, set[str]] = {}
+    missing = []
+    for v in manifest.videos:
+        head, slash, name = v.file_path.rpartition("/")
+        head += slash
+        files = listed.get(head)
+        if files is None:
+            try:
+                with os.scandir(os.path.join(manifest.root, head)) as entries:
+                    files = {e.name for e in entries if e.is_file()}
+            except OSError:
+                files = set()
+            listed[head] = files
+        if name not in files and not os.path.isfile(manifest.resolve(v)):
+            missing.append(v.file_path)
+    return missing
+
+
 def load_manifest(path: str | Path) -> Manifest:
     """Load and validate a manifest; rejects overlapping split class sets and
-    feature files that do not resolve."""
+    feature paths that do not name a file."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -451,20 +527,13 @@ def load_manifest(path: str | Path) -> Manifest:
                 f"{path}: manifest field {key!r} must be an integer, got {doc[key]!r}"
             )
     manifest = Manifest(
-        classes=tuple(
-            (c, n) for c, n in _manifest_rows(path, doc, "classes", (int, str))
-        ),
-        videos=tuple(
-            VideoEntry(*row)
-            for row in _manifest_rows(path, doc, "videos", (str, int, str, str))
-        ),
+        classes=tuple((c, n) for c, n in _manifest_rows(path, doc, "classes")),
+        videos=tuple(VideoEntry(*row) for row in _manifest_rows(path, doc, "videos")),
         frame_count=doc["frame_count"],
         feature_dim=doc["feature_dim"],
         root=path.parent,
     )
-    missing = [
-        v.file_path for v in manifest.videos if not os.path.exists(manifest.resolve(v))
-    ]
+    missing = _unresolved(manifest)
     if missing:
         raise ValidationError(
             f"{path}: {len(missing)} feature file(s) do not resolve, "
@@ -473,7 +542,7 @@ def load_manifest(path: str | Path) -> Manifest:
     return manifest
 
 
-def empty_frames(what: str, dtype: type, **dims: int) -> np.ndarray:
+def empty_frames(what: str, dtype: type | np.dtype, **dims: int) -> np.ndarray:
     """A new ``dtype`` array for ``what``, shaped by the values of ``dims``;
     dims too large to allocate are a ``ValidationError`` naming each dim."""
     try:
@@ -528,7 +597,7 @@ def load_split(manifest: Manifest, split: str) -> SplitData:
     slot = {e.video_id: s for s, e in enumerate(ordered)}  # ids are unique
     frames = empty_frames(
         f"{split} split",
-        np.float32,
+        np.dtype("<f4"),  # the files' byte order, so a row takes their bytes
         videos=len(entries),
         frame_count=manifest.frame_count,
         feature_dim=manifest.feature_dim,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import MISSING, dataclass, fields
+from itertools import count, islice
 from pathlib import Path
 from typing import Iterable
 
@@ -138,10 +139,10 @@ def gen_class_prototype(
     if corr_width > 0.0:
         steps = steps @ _correlation_kernel(feature_dim, corr_width)
     traj = np.cumsum(steps, axis=0)
-    mean = traj.mean(axis=0)
-    std = traj.std(axis=0)
+    dev = traj - traj.mean(axis=0)
+    std = np.sqrt(np.square(dev).sum(axis=0) / length)  # traj.std(axis=0)'s steps
     std = np.where(std < 1e-12, 1.0, std)
-    return (traj - mean) / std
+    return dev / std
 
 
 def _warp_rows(u: np.ndarray, length: int, strength: float) -> np.ndarray:
@@ -225,26 +226,27 @@ def gen_benchmark(spec: GeneratorSpec, out_dir: str | Path) -> Manifest:
     listed: dict[str, tuple[list, list[VideoEntry]]] = {MANIFEST_NAME: ([], [])}
     rows = [(m, split, sub) for m, split, n, sub in plan for _ in range(n)]
     n_videos = spec.videos_per_class
+    protos = _stream_generators(spec.seed, (STREAM_PROTO + c for c in range(len(rows))))
+    video_gens = _stream_generators(spec.seed, (STREAM_VIDEO + s for s in count()))
     # each class is generated and written as one block; class c's videos take
     # video streams c * videos_per_class onwards, so every video has its own
     for class_id, (manifest_name, split, subdir) in enumerate(rows):
         name = f"cls{class_id:03d}"
         proto = gen_class_prototype(
-            RngStream(spec.seed, STREAM_PROTO + class_id),
+            next(protos),
             spec.feature_dim,
             spec.prototype_len,
             corr_width=spec.feature_corr,
         )
-        streams = range(class_id * n_videos, (class_id + 1) * n_videos)
-        gens = _stream_generators(spec.seed, (STREAM_VIDEO + s for s in streams))
-        frames = _video_block(proto, spec, gens, n_videos)
+        frames = _video_block(proto, spec, islice(video_gens, n_videos), n_videos)
+        vids = [f"{name}_v{j:03d}" for j in range(n_videos)]
         entries = [
             VideoEntry(vid, class_id, f"{subdir}/{name}/{vid}.fsvf", split)
-            for vid in (f"{name}_v{j:03d}" for j in range(n_videos))
+            for vid in vids
         ]
-        os.makedirs(os.path.join(out_dir, subdir, name), exist_ok=True)
-        paths = [os.path.join(out_dir, e.file_path) for e in entries]
-        write_feature_files(frames, paths)
+        directory = os.path.join(out_dir, subdir, name)
+        os.makedirs(directory, exist_ok=True)
+        write_feature_files(frames, [f"{directory}/{vid}.fsvf" for vid in vids])
         classes, videos = listed.setdefault(manifest_name, ([], []))
         classes.append((class_id, name))
         videos.extend(entries)

@@ -8,7 +8,8 @@ results to these copies.  The episode losses at the end are the loop forms
 that the package now computes with stacked arrays; ``test_loss_oracle.py``
 compares those to within rounding.  The one-video generator and the feature
 file reader are the per-video forms that the package now runs on whole class
-blocks; ``test_synthdata.py`` requires bitwise-equal results.  ``imprint``
+blocks, and the class prototype is the ``np.std`` form; the generator tests
+require bitwise-equal results.  ``imprint``
 is the per-class boolean-mask form that the package now runs on one stable
 sort of the labels.  The episode sampler and the metric-method scores at
 the end are the ``Generator.choice`` and ``np.mean`` forms;
@@ -471,6 +472,30 @@ def gen_video(
     if spec.noise_sigma > 0.0:
         frames += spec.noise_sigma * gen.standard_normal(frames.shape)
     return FeatureSequence(video_id=video_id, class_id=class_id, frames=frames)
+
+
+def _correlation_kernel(feature_dim: int, width: float) -> np.ndarray:
+    offsets = np.arange(feature_dim)
+    dist = np.minimum(offsets, feature_dim - offsets)
+    kernel = np.exp(-0.5 * (dist / width) ** 2)
+    kernel /= np.linalg.norm(kernel)
+    idx = (offsets[:, None] - offsets[None, :]) % feature_dim
+    return kernel[idx]
+
+
+def gen_class_prototype(
+    rng, feature_dim: int, length: int, corr_width: float = 0.0
+) -> np.ndarray:
+    gen = as_generator(rng)
+    steps = np.empty((length, feature_dim))
+    gen.standard_normal(out=steps)
+    if corr_width > 0.0:
+        steps = steps @ _correlation_kernel(feature_dim, corr_width)
+    traj = np.cumsum(steps, axis=0)
+    mean = traj.mean(axis=0)
+    std = traj.std(axis=0)
+    std = np.where(std < 1e-12, 1.0, std)
+    return (traj - mean) / std
 
 
 def read_feature_frames(path) -> np.ndarray:

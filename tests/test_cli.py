@@ -593,6 +593,16 @@ def test_selftest_subcommand_exits_zero():
     assert "FAIL" not in proc.stdout
 
 
+def test_gen_unwritable_feature_file_is_clean_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(SPEC))
+    blocked = tmp_path / "out" / "features" / "cls000" / "cls000_v001.fsvf"
+    blocked.mkdir(parents=True)
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 21] Is a directory: {str(blocked)!r}\n"
+
+
 @pytest.mark.parametrize(
     "rename, message",
     [(None, "is listed twice"), ("dup_v", "is also video")],

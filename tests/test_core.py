@@ -9,10 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fsvc.core import (
+    SPLITS,
     FeatureSequence,
     FormatError,
     FsvcError,
@@ -36,6 +37,11 @@ def write_feature_file(seq, path):
     write_feature_files(seq.frames[None], [path])
 
 
+def read_back(path, video_id, shape, class_id=0):
+    """Read ``path`` into a new (T, C_in) row, as a split load does."""
+    return read_feature_file(path, video_id, class_id, np.zeros(shape, "<f4"))
+
+
 def test_zero_sequence_file_layout(tmp_path):
     seq = FeatureSequence("v0", 0, np.zeros((1, 2)))
     path = tmp_path / "v0.fsvf"
@@ -55,7 +61,7 @@ def test_round_trip_exact_on_simple_values(tmp_path):
     seq = FeatureSequence("v1", 3, frames)
     path = tmp_path / "v1.fsvf"
     write_feature_file(seq, path)
-    back = read_feature_file(path, video_id="v1", class_id=3)
+    back = read_back(path, "v1", frames.shape, class_id=3)
     assert back.video_id == "v1"
     assert back.class_id == 3
     assert np.array_equal(back.frames, frames)  # exactly representable in f32
@@ -70,19 +76,52 @@ def test_round_trip_single_precision_payload(tmp_path):
         seq = FeatureSequence(f"v{i}", 0, frames)
         path = tmp_path / "x.fsvf"
         write_feature_file(seq, path)
-        back = read_feature_file(path, f"v{i}")
+        back = read_back(path, f"v{i}", frames.shape)
         assert np.array_equal(
             back.frames.astype(np.float32), frames.astype(np.float32)
         )
 
 
-def test_rewrite_over_longer_file_leaves_no_tail(tmp_path):
+def test_rewrite_over_longer_file_leaves_no_tail(tmp_path, monkeypatch):
+    """The new 40 bytes replace an older file of any size; only a longer one
+    is cut."""
     seq = FeatureSequence("v", 0, np.ones((2, 3)))
-    path = tmp_path / "v.fsvf"
-    path.write_bytes(b"x" * 1000)
-    write_feature_file(seq, path)
     write_feature_file(seq, tmp_path / "fresh.fsvf")
-    assert path.read_bytes() == (tmp_path / "fresh.fsvf").read_bytes()
+    path = tmp_path / "v.fsvf"
+    cuts = []
+    real_ftruncate = os.ftruncate
+    monkeypatch.setattr(
+        os, "ftruncate", lambda fd, size: cuts.append(size) or real_ftruncate(fd, size)
+    )
+    for older, cut in [(1000, [40]), (40, []), (3, [])]:
+        path.write_bytes(b"x" * older)
+        cuts.clear()
+        write_feature_file(seq, path)
+        assert path.read_bytes() == (tmp_path / "fresh.fsvf").read_bytes()
+        assert cuts == cut
+
+
+def test_short_writes_are_finished(tmp_path, monkeypatch):
+    frames = RngStream(2, 0).generator().standard_normal((3, 4, 5))
+    want = [tmp_path / f"want{i}.fsvf" for i in range(3)]
+    write_feature_files(frames, want)
+    real_write = os.write
+    # the kernel takes one byte of the writev, then at most 7 bytes a write
+    monkeypatch.setattr(os, "writev", lambda fd, bufs: real_write(fd, bytes(bufs[0][:1])))
+    monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:7]))
+    got = [tmp_path / f"got{i}.fsvf" for i in range(3)]
+    write_feature_files(frames, got)
+    for a, b in zip(want, got):
+        assert b.read_bytes() == a.read_bytes()
+
+
+def test_failed_open_raises_os_error(tmp_path):
+    frames = np.zeros((2, 1, 1))
+    (tmp_path / "dir.fsvf").mkdir()
+    with pytest.raises(IsADirectoryError):
+        write_feature_files(frames, [tmp_path / "a.fsvf", tmp_path / "dir.fsvf"])
+    with pytest.raises(FileNotFoundError):
+        write_feature_files(frames[:1], [tmp_path / "no" / "a.fsvf"])
 
 
 def test_block_writer_checks_block_before_writing(tmp_path):
@@ -104,7 +143,7 @@ def test_read_frames_are_bitwise_float32_widened(tmp_path):
     path = tmp_path / "w.fsvf"
     write_feature_file(FeatureSequence("w", 0, frames), path)
     payload = path.read_bytes()[16:]
-    back = read_feature_file(path, "w").frames
+    back = read_back(path, "w", frames.shape).frames
     stored = np.frombuffer(payload, dtype="<f4").reshape(2, 3)
     assert back.dtype == np.float32 and back.shape == (2, 3)
     assert back.tobytes() == stored.tobytes()
@@ -136,7 +175,7 @@ def test_bad_magic_names_first_bytes(tmp_path):
     path = tmp_path / "bad.fsvf"
     path.write_bytes(b"XXXX" + bytes(16))
     with pytest.raises(FormatError, match="XXXX"):
-        read_feature_file(path, "v")
+        read_back(path, "v", (1, 1))
 
 
 def test_truncated_payload_reports_byte_counts(tmp_path):
@@ -146,7 +185,7 @@ def test_truncated_payload_reports_byte_counts(tmp_path):
     header = b"FSVF" + struct.pack("<III", 1, 8, 32)
     path.write_bytes(header + bytes(100))
     with pytest.raises(LengthError, match="1024") as err:
-        read_feature_file(path, "v")
+        read_back(path, "v", (8, 32))
     assert "100" in str(err.value)
 
 
@@ -156,7 +195,7 @@ def test_wrong_version_rejected(tmp_path):
     path = tmp_path / "v9.fsvf"
     path.write_bytes(b"FSVF" + struct.pack("<III", 9, 1, 1) + bytes(4))
     with pytest.raises(FormatError, match="version"):
-        read_feature_file(path, "v")
+        read_back(path, "v", (1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +295,92 @@ def test_saved_paths_are_each_files_relpath(tmp_path, home):
     assert written == want
 
 
+# characters that JSON escapes, or that paths and ids may hold
+_CHARS = st.one_of(st.sampled_from('"\\/.\x00\x1f\x7f\n\té€😀 '), st.characters())
+_TEXT = st.text(_CHARS, max_size=6)
+_NAME = st.text(_CHARS.filter(lambda c: c != "/"), min_size=1, max_size=6).filter(
+    lambda name: name not in (".", "..")
+)
+_PATHS = st.builds(
+    lambda dirs, name: "/".join(dirs + [name]),
+    st.lists(st.one_of(_NAME, st.sampled_from([".", ".."])), max_size=3),
+    _NAME,
+)
+
+
+@st.composite
+def _manifest_parts(draw):
+    classes = draw(
+        st.lists(st.tuples(st.integers(), _TEXT), unique_by=lambda c: c[0], max_size=4)
+    )
+    rows = []
+    if classes:
+        rows = draw(
+            st.lists(
+                st.tuples(_TEXT, st.integers(0, len(classes) - 1), _PATHS),
+                unique_by=(lambda r: r[0], lambda r: os.path.normpath(r[2])),
+                max_size=6,
+            )
+        )
+    # a class's split follows from its index, so split class sets are disjoint
+    videos = [VideoEntry(v, classes[k][0], f, SPLITS[k % 3]) for v, k, f in rows]
+    dims = draw(st.tuples(st.integers(1, 2**70), st.integers(1, 2**70)))
+    return classes, videos, dims, draw(st.sampled_from([".", "x/y", ".."]))
+
+
+@given(_manifest_parts())
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_saved_manifest_bytes_are_json_dumps_indent_2(tmp_path, parts):
+    classes, videos, (t, c), home = parts
+    root = tmp_path / "r" / "s"
+    manifest = _manifest(root, videos, classes, t=t, c=c)
+    out = root / home / "m.json"
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_manifest(manifest, out)
+    # the reference: json's own text for the same document
+    doc = {
+        "frame_count": t,
+        "feature_dim": c,
+        "classes": [[cid, name] for cid, name in classes],
+        "videos": [
+            [v.video_id, v.class_id, os.path.relpath(manifest.resolve(v), out.parent), v.split]
+            for v in videos
+        ],
+    }
+    assert out.read_bytes() == (json.dumps(doc, indent=2) + "\n").encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "class_id, video_class, frame_count, message",
+    [
+        (True, True, 2, "classes row 0 [True, 'c1'] is not [int, str]"),
+        (np.int64(1), 1, 2, "classes row 0 [np.int64(1), 'c1'] is not [int, str]"),
+        (1, True, 2, "videos row 1 ['b', True, 'b.fsvf', 'train'] is not [str, int, str, str]"),
+        (1, np.int64(1), 2, "videos row 1 ['b', np.int64(1), 'b.fsvf', 'train']"),
+        (1, 1, np.int64(2), "field 'frame_count' must be an integer, got np.int64(2)"),
+    ],
+)
+def test_save_manifest_rejects_values_json_would_not_load_back(
+    tmp_path, class_id, video_class, frame_count, message
+):
+    # True saved as JSON true loads as a bool, which load_manifest rejects;
+    # json cannot encode a numpy integer at all
+    manifest = _manifest(
+        tmp_path,
+        [VideoEntry("a", 1, "a.fsvf", "train"), VideoEntry("b", video_class, "b.fsvf", "train")],
+        [(class_id, "c1")],
+        t=frame_count,
+    )
+    path = tmp_path / "m.json"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        save_manifest(manifest, path)
+    assert not path.exists()
+
+
 def test_overlapping_split_classes_rejected(tmp_path):
     for name in ("a", "b"):
         _write_feature(tmp_path, name)
@@ -307,11 +432,72 @@ def test_missing_feature_file_rejected(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize(
+    "gone, make",
+    [
+        ("nodir/gone.fsvf", None),  # a missing directory
+        ("sub/gone.fsvf", None),  # a missing file in a listed directory
+        ("sub/dir.fsvf", "directory"),
+        ("sub/dangling.fsvf", "dangling link"),
+        ("sub", None),  # names a directory that holds the other files
+        ("sub/", None),
+    ],
+)
+def test_unresolved_feature_paths_rejected(tmp_path, gone, make):
+    (tmp_path / "sub").mkdir()
+    for name in ("a", "sub/b", "sub/c"):
+        _write_feature(tmp_path, name)
+    (tmp_path / "sub" / "linked.fsvf").symlink_to(tmp_path / "a.fsvf")
+    if make == "directory":
+        (tmp_path / gone).mkdir()
+    elif make == "dangling link":
+        (tmp_path / gone).symlink_to(tmp_path / "nowhere.fsvf")
+    path = tmp_path / "manifest.json"
+
+    def save(files):
+        videos = [VideoEntry(f"v{i}", 0, f, "train") for i, f in enumerate(files)]
+        save_manifest(_manifest(tmp_path, videos, [(0, "c0")]), path)
+
+    files = ["a.fsvf", "sub/b.fsvf", "sub/linked.fsvf", "sub/c.fsvf"]
+    save(files)  # a link to a file resolves
+    assert [v.file_path for v in load_manifest(path).videos] == files
+    save(files[:3] + [gone] + files[3:])
+    message = f"1 feature file(s) do not resolve, first: {gone!r}"
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        load_manifest(path)
+
+
+def test_every_unresolved_path_is_counted_in_manifest_order(tmp_path):
+    _write_feature(tmp_path, "a")
+    manifest = _manifest(
+        tmp_path,
+        [
+            VideoEntry("z", 0, "z.fsvf", "train"),
+            VideoEntry("a", 0, "a.fsvf", "train"),
+            VideoEntry("b", 1, "gone.fsvf", "test"),
+        ],
+        [(0, "c0"), (1, "c1")],
+    )
+    path = tmp_path / "manifest.json"
+    save_manifest(manifest, path)
+    with pytest.raises(ValidationError, match="2 feature .* first: 'z.fsvf'"):
+        load_manifest(path)
+
+
+def test_read_errors_name_the_file(tmp_path):
+    # a directory opens for reading on Linux; the read then fails
+    (tmp_path / "dir.fsvf").mkdir()
+    for name, error in [("dir.fsvf", IsADirectoryError), ("gone.fsvf", FileNotFoundError)]:
+        path = str(tmp_path / name)
+        with pytest.raises(error, match=re.escape(repr(path))):
+            read_back(path, "v", (1, 1))
+
+
 def test_load_sequence_checks_manifest_dims(tmp_path):
     _write_feature(tmp_path, "a", t=2, c=3)
     row = np.full((8, 3), 7.0, dtype=np.float32)  # a manifest row of T=8
     with pytest.raises(ValidationError, match="video 'a': frame count 2"):
-        read_feature_file(tmp_path / "a.fsvf", "a", out=row)
+        read_feature_file(tmp_path / "a.fsvf", "a", 0, row)
     assert (row == 7.0).all()  # checked before anything is written
 
 
@@ -336,6 +522,10 @@ def _break_file(tmp_path, name, fault):
         _write_feature(tmp_path, name, t=2, c=4)
     elif fault == "truncated":
         path.write_bytes(path.read_bytes()[:-4])
+    elif fault == "long":
+        path.write_bytes(path.read_bytes() + bytes(12))
+    elif fault == "header":
+        path.write_bytes(path.read_bytes()[:10])
     else:
         path.write_bytes(b"XXXX" + path.read_bytes()[4:])
 
@@ -346,6 +536,8 @@ def _break_file(tmp_path, name, fault):
         ("frames", ValidationError, "video 'y': frame count 3"),
         ("dims", ValidationError, "video 'y': frame count 2 and feature dim 4"),
         ("truncated", LengthError, "y.fsvf"),
+        ("long", LengthError, "y.fsvf: expected 24 payload bytes for T=2, C_in=3, got 36"),
+        ("header", LengthError, "y.fsvf: truncated header, 10 bytes total"),
         ("magic", FormatError, "y.fsvf: bad magic"),
     ],
 )

@@ -73,6 +73,20 @@ def test_gen_video_matches_oracle(t, extra, strength, sigma, c, stream):
     assert same_bits(got, want.frames)
 
 
+@SETTINGS
+@given(
+    c=st.integers(1, 9),
+    length=st.integers(1, 40),
+    corr=st.sampled_from([0.0, 0.5, 3.0]),
+    stream=st.integers(0, 1 << 40),
+)
+@example(c=1, length=1, corr=0.0, stream=0)  # std 0: every column is 0
+def test_gen_class_prototype_matches_oracle(c, length, corr, stream):
+    got = gen_class_prototype(RngStream(8, stream), c, length, corr)
+    want = oracle.gen_class_prototype(RngStream(8, stream), c, length, corr)
+    assert same_bits(got, want)
+
+
 @pytest.mark.parametrize("v", [1, 7, 40])
 @pytest.mark.parametrize(
     "t, length, strength, sigma",

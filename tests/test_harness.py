@@ -391,8 +391,9 @@ def test_split_frames_are_one_read_only_block(bench):
             assert not seq.frames.flags.writeable
             assert np.shares_memory(seq.frames, split.frames)
             assert seq.frames.tobytes() == split.frames[row].tobytes()
-            on_disk = read_feature_file(paths[seq.video_id], seq.video_id).frames
-            assert split.frames[row].tobytes() == on_disk.tobytes()
+            row_back = np.empty(split.frames.shape[1:], "<f4")
+            on_disk = read_feature_file(paths[seq.video_id], seq.video_id, cid, row_back)
+            assert split.frames[row].tobytes() == on_disk.frames.tobytes()
             # the file's payload, and the float64 frames computation sees
             data = Path(paths[seq.video_id]).read_bytes()
             payload = np.frombuffer(data, "<f4", offset=16)
